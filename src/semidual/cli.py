@@ -441,7 +441,7 @@ def run_command(command, raw_args, config, env: Environment, pos=None):
             "complement_rank": w["p"],
             "identities": w["identities"],
         }
-        if "power_check" in w:
+        if w["power_check"] is not None:
             report["power_check"] = w["power_check"]
         return report, EXIT_OK
 

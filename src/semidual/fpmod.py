@@ -334,10 +334,13 @@ class RingMatrix:
 # Modules.
 
 class FPModule:
-    """coker(relations) with the given generator degrees."""
+    """coker(relations) with the given generator degrees.
+
+    _ext holds Ext vanishing verdicts into this module, per resolution of
+    the source and per index (see homalg.first_nonvanishing_ext)."""
 
     __slots__ = ("ring", "gen_degrees", "relations",
-                 "_relgb", "_min", "_ann", "_resolution")
+                 "_relgb", "_min", "_ann", "_resolution", "_ext")
 
     def __init__(self, ring: GradedRing, gen_degrees, relations=None):
         self.ring = ring
@@ -353,6 +356,7 @@ class FPModule:
         self._min = None
         self._ann = None
         self._resolution = None
+        self._ext = None
 
     @property
     def ngens(self) -> int:

@@ -17,7 +17,6 @@ import random
 from typing import NamedTuple
 
 from .polyring import (
-    Polynomial,
     intpoly_add,
     intpoly_shift,
     intpoly_sub,
@@ -34,7 +33,6 @@ from .fpmod import (
     homology_at,
     homology_is_zero,
     is_injective,
-    is_isomorphic,
     kernel,
     power_with_twists,
     quotient_by_element,
@@ -53,9 +51,8 @@ __all__ = [
     "projective_dimension",
     "ChainComplex",
     "resolution_complex",
-    "complex_quotient",
     "ext_module",
-    "ext_modules",
+    "first_nonvanishing_ext",
     "ext_is_zero",
     "ext_dim_k",
     "depth",
@@ -68,7 +65,6 @@ __all__ = [
     "base_change_matrix",
     "base_change_module",
     "hilbert_numerator_module",
-    "hilbert_series",
     "hilbert_coefficients",
     "monomial_quotient_numerator",
 ]
@@ -86,13 +82,6 @@ class TruncationError(RuntimeError):
 
 # ---------------------------------------------------------------------------
 # Free resolutions.
-
-def _syzygy_matrix(R: GradedRing, mat: RingMatrix):
-    """Minimal generators of the syzygies of mat's columns, as the next
-    boundary matrix; None when there are none."""
-    out = syzygies(mat)
-    return out if out.ncols else None
-
 
 class Resolution:
     """A minimal graded free resolution, extended lazily.
@@ -122,8 +111,8 @@ class Resolution:
     def ensure(self, length: int):
         """Extend until len(maps) >= length or the resolution terminates."""
         while not self.complete and len(self.maps) < length:
-            nxt = _syzygy_matrix(self.ring, self.maps[-1])
-            if nxt is None:
+            nxt = syzygies(self.maps[-1])
+            if not nxt.ncols:
                 self.complete = True
             else:
                 self.maps.append(nxt)
@@ -158,9 +147,10 @@ def free_resolution(M: FPModule, length: int) -> Resolution:
 
 
 def k_resolution(R: GradedRing, length: int) -> Resolution:
-    """The cached resolution of the residue field, shared per ring."""
+    """The cached resolution of the residue field, shared per ring; it is
+    also the cached resolution of its own module."""
     if R._kres is None:
-        R._kres = Resolution(residue_field_module(R))
+        R._kres = free_resolution(residue_field_module(R), 0)
     return R._kres.ensure(length)
 
 
@@ -222,13 +212,6 @@ class ChainComplex:
             return is_injective(self.maps[L - 1])
         return homology_is_zero(self.maps[i], self.maps[i - 1])
 
-    def to_dict(self) -> dict:
-        return {
-            "lengths": [m.ngens for m in self.modules],
-            "degrees": [list(m.gen_degrees) for m in self.modules],
-            "maps": [d.matrix.to_rows_str() for d in self.maps],
-        }
-
 
 def resolution_complex(res: Resolution, length: int) -> ChainComplex:
     """The free complex F_length -> ... -> F_0 underlying a resolution."""
@@ -244,12 +227,14 @@ def resolution_complex(res: Resolution, length: int) -> ChainComplex:
 # ---------------------------------------------------------------------------
 # Ext.
 
-def _hom_into(N: FPModule, dmat: RingMatrix) -> ModuleHom:
+def _hom_into(N: FPModule, dmat: RingMatrix, p_prev=None) -> ModuleHom:
     """Hom(d, N) for a boundary d between free modules: the block matrix
-    whose (column j, row r) block is multiplication by d[r][j]."""
+    whose (column j, row r) block is multiplication by d[r][j].  p_prev,
+    when given, is the already built power of N the map starts from."""
     R = N.ring
     amb = R.ambient
-    p_prev = power_with_twists(N, dmat.row_degrees)
+    if p_prev is None:
+        p_prev = power_with_twists(N, dmat.row_degrees)
     p_next = power_with_twists(N, dmat.col_degrees)
     nN = N.ngens
     z = amb.zero()
@@ -266,21 +251,20 @@ def _hom_into(N: FPModule, dmat: RingMatrix) -> ModuleHom:
     return ModuleHom(p_prev, p_next, mat)
 
 
-def _ext_boundaries(res: Resolution, N: FPModule, i: int):
-    """(T_i, T_{i+1}) around stage i of Hom(F_*, N); either may be None when
-    the corresponding free module vanishes."""
+def _ext_boundaries(res: Resolution, N: FPModule, i: int, t_in=None):
+    """(T_i, T_{i+1}) around stage i of Hom(F_*, N), with T_j = Hom(d_j, N).
+    A given T_i is reused, and T_{i+1} starts from its target.  T_i is
+    None at i = 0; both are None when Hom(F_i, N) vanishes."""
     res.ensure(i + 1)
-    R = res.ring
     if res.betti(i) == 0 or N.ngens == 0:
         return None, None
-    p_i = power_with_twists(N, res.degrees(i))
-    if i + 1 <= len(res.maps):
-        t_next = _hom_into(N, res.maps[i])
+    if i and t_in is None:
+        t_in = _hom_into(N, res.maps[i - 1])
+    p_i = t_in.target if i else power_with_twists(N, res.degrees(i))
+    if i < len(res.maps):
+        t_next = _hom_into(N, res.maps[i], p_i)
     else:
-        t_next = zero_hom(p_i, FPModule(R, ()))
-    if i == 0:
-        return None, t_next
-    t_in = _hom_into(N, res.maps[i - 1])
+        t_next = zero_hom(p_i, FPModule(res.ring, ()))
     return t_in, t_next
 
 
@@ -298,15 +282,37 @@ def ext_module(M: FPModule, N: FPModule, i: int) -> FPModule:
     return homology_at(t_in, t_next)
 
 
+def first_nonvanishing_ext(M: FPModule, N: FPModule, lo: int, hi: int):
+    """The first i in lo..hi with Ext^i(M, N) != 0, or None.
+
+    One walk up the cached resolution of M: Hom(d_{i+1}, N) built at index
+    i is the incoming map at index i + 1.  Each verdict is decided by
+    membership checks only and memoised on N, keyed by M's resolution;
+    only the booleans are kept, never the maps."""
+    res = free_resolution(M, 0)
+    if N._ext is None:
+        N._ext = {}
+    memo = N._ext.setdefault(res, {})
+    t_next = None
+    for i in range(lo, hi + 1):
+        if i in memo:
+            t_next = None
+        else:
+            t_in, t_next = _ext_boundaries(res, N, i, t_next)
+            if t_next is None:
+                memo[i] = True
+            elif t_in is None:
+                memo[i] = is_injective(t_next)
+            else:
+                memo[i] = homology_is_zero(t_in, t_next)
+        if not memo[i]:
+            return i
+    return None
+
+
 def ext_is_zero(M: FPModule, N: FPModule, i: int) -> bool:
     """Vanishing of Ext^i(M, N), by membership checks only."""
-    res = free_resolution(M, i + 1)
-    t_in, t_next = _ext_boundaries(res, N, i)
-    if t_next is None:
-        return True
-    if t_in is None:
-        return is_injective(t_next)
-    return homology_is_zero(t_in, t_next)
+    return first_nonvanishing_ext(M, N, i, i) is None
 
 
 def ext_dim_k(M: FPModule, i: int) -> int:
@@ -324,19 +330,11 @@ def depth(M: FPModule) -> int:
     if M.is_zero_module():
         raise ValueError("the zero module has no depth")
     R = M.ring
-    n = R.ambient.nvars
-    kres = k_resolution(R, 1)
-    for i in range(n + 1):
-        kres.ensure(i + 1)
-        t_in, t_next = _ext_boundaries(kres, M, i)
-        if t_next is None:
-            continue
-        if t_in is None:
-            if not is_injective(t_next):
-                return i
-        elif not homology_is_zero(t_in, t_next):
-            return i
-    raise RuntimeError("Ext(k, M) vanished through the variable count")
+    k = k_resolution(R, 0).module
+    i = first_nonvanishing_ext(k, M, 0, R.ambient.nvars)
+    if i is None:
+        raise RuntimeError("Ext(k, M) vanished through the variable count")
+    return i
 
 
 def koszul_boundary(M: FPModule, i: int) -> ModuleHom:
@@ -400,8 +398,10 @@ def module_dimension(M: FPModule) -> int:
 
 
 def regular_sequence_search(M: FPModule, degree_bound: int = 4,
-                            seed: int = 0, random_tries: int = 64):
-    """Greedy maximal M-regular sequence of homogeneous elements.
+                            seed: int = 0, random_tries: int = 64,
+                            length=None):
+    """Greedy M-regular sequence of homogeneous elements, stopping at the
+    given length or, without one, when no candidate is regular.
 
     Candidates are scanned in a fixed order: all standard monomials of each
     degree 1..degree_bound, then seeded random combinations within the degree,
@@ -410,7 +410,7 @@ def regular_sequence_search(M: FPModule, degree_bound: int = 4,
     rng = random.Random(seed)
     seq = []
     current = M
-    while not current.is_zero_module():
+    while len(seq) != length and not current.is_zero_module():
         found = None
         for d in range(1, degree_bound + 1):
             monos = R.std_monomials(d)
@@ -507,21 +507,8 @@ def hilbert_coefficients(numer: dict, weights, lo: int, hi: int):
     return arr[lo - start:]
 
 
-def hilbert_series(M: FPModule):
-    """(numerator, weights): the Hilbert series of M written as an integer
-    polynomial over prod_i (1 - t^{w_i})."""
-    return hilbert_numerator_module(M), M.ring.ambient.weights
-
-
 # ---------------------------------------------------------------------------
-# Convenience wrappers used by the verification layer.
-
-def ext_modules(M: FPModule, N: FPModule, i_max: int):
-    """Ext^0(M,N) .. Ext^{i_max}(M,N), sharing one cached resolution of M."""
-    if i_max < 0:
-        raise ValueError("negative Ext range")
-    return [ext_module(M, N, i) for i in range(i_max + 1)]
-
+# Depth with a witness.
 
 class DepthResult(NamedTuple):
     value: int
@@ -534,50 +521,22 @@ def depth_with_witness(M: FPModule, degree_bound: int = 4, seed: int = 0,
     """Depth plus a maximal regular sequence realizing it.
 
     The value comes from the chosen method (Ext against the residue field, or
-    the Koszul complex); the witness from the seeded greedy search.  A
-    witness shorter than the depth means the search's degree bound was too
-    small, which is an error here, never a silent downgrade."""
+    the Koszul complex); the witness from the seeded greedy search, stopped
+    at that length.  A shorter witness means the search's degree bound was
+    too small, which is an error here, never a silent downgrade.  The
+    witness is maximal when the quotient it leaves has depth zero; if not,
+    the depth and the search disagree and that raises."""
     value = depth(M) if method == "ext_k" else depth_koszul(M)
-    seq, _ = regular_sequence_search(M, degree_bound=degree_bound, seed=seed)
+    seq, rest = regular_sequence_search(M, degree_bound=degree_bound,
+                                        seed=seed, length=value)
     if len(seq) != value:
         raise TruncationError(
             f"regular sequence search found length {len(seq)} but depth is "
             f"{value}; raise the degree bound ({degree_bound})",
             bound=degree_bound)
+    left = depth(rest)
+    if left:
+        raise RuntimeError(
+            f"a regular sequence of length {value} leaves depth {left}, "
+            f"so the depth is not {value}")
     return DepthResult(value, seq, method)
-
-
-def complex_quotient(K: ChainComplex, x: Polynomial) -> ChainComplex:
-    """K/xK over R/(x), for x a nonzerodivisor on every chain module and on
-    H_0(K).
-
-    The quotient is verified to keep its homology concentrated in degree 0,
-    with H_0(K/xK) isomorphic to H_0(K)/xH_0(K); either failure raises."""
-    R = K.modules[0].ring
-    x = R.nf(x)
-    if x.is_zero or not x.is_homogeneous() or x.wdeg() == 0:
-        raise ValueError("quotient element must be homogeneous of positive "
-                         "degree")
-    for i, m in enumerate(K.modules):
-        if not is_nzd_on(m, x):
-            raise ValueError(f"element is a zerodivisor on chain module {i}")
-    H0 = K.homology(0)
-    if not is_nzd_on(H0, x):
-        raise ValueError("element is a zerodivisor on the degree-0 homology")
-    R2 = R.quotient_by(x)
-    mods = [base_change_module(m, R2) for m in K.modules]
-    maps = [ModuleHom(mods[i], mods[i - 1],
-                      base_change_matrix(K.maps[i - 1].matrix, R2),
-                      K.maps[i - 1].shift)
-            for i in range(1, len(mods))]
-    Kq = ChainComplex(mods, maps)
-    for i in range(1, Kq.length + 1):
-        if not Kq.is_exact_at(i):
-            raise RuntimeError(
-                f"homology of the quotient complex survives in degree {i}")
-    want = base_change_module(quotient_by_element(H0, x), R2)
-    ok, _ = is_isomorphic(Kq.homology(0), want)
-    if not ok:
-        raise RuntimeError("degree-0 homology of the quotient complex does "
-                           "not match H0/xH0")
-    return Kq

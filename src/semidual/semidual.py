@@ -49,8 +49,8 @@ from .homalg import (
     base_change_module,
     depth,
     depth_with_witness,
-    ext_is_zero,
     ext_module,
+    first_nonvanishing_ext,
     free_resolution,
     module_dimension,
     projective_dimension,
@@ -198,13 +198,10 @@ def check_semidualizing(C: FPModule, ext_bound=None) -> SemidualizingCertificate
             R, C, end_count, identity_generates, faithful, excess,
             ext_bound, False, None, None, "failed")
 
-    first_bad = None
+    first_bad = first_nonvanishing_ext(Cm, Cm, 1, ext_bound)
     witness = None
-    for i in range(1, ext_bound + 1):
-        if not ext_is_zero(Cm, Cm, i):
-            first_bad = i
-            witness = _first_generator_witness(ext_module(Cm, Cm, i))
-            break
+    if first_bad is not None:
+        witness = _first_generator_witness(ext_module(Cm, Cm, first_bad))
     verdict = "verified_up_to_bound" if first_bad is None else "failed"
     return SemidualizingCertificate(
         R, C, end_count, identity_generates, faithful, excess,
@@ -444,11 +441,7 @@ def bass_class_check(C: FPModule, Y: FPModule, ext_bound=None, H=None):
     R = C.ring
     if ext_bound is None:
         ext_bound = default_ext_bound(R)
-    first_bad = None
-    for i in range(1, ext_bound + 1):
-        if not ext_is_zero(C, Y, i):
-            first_bad = i
-            break
+    first_bad = first_nonvanishing_ext(C, Y, 1, ext_bound)
     H = H if H is not None else HomModule(C, Y)
     ev = evaluation_hom(C, Y, H)
     ev_iso = hom_is_isomorphism(ev)

@@ -142,6 +142,23 @@ def test_split_session(tmp_path, capsys):
     assert all(rep["power_check"].values())
 
 
+def test_split_without_module_omits_power_check(tmp_path, capsys):
+    session = ("ring R { char 101; vars x y; }\n"
+               "matrix T over R {\n"
+               "    rowdegs 0;\n"
+               "    coldegs 0 1;\n"
+               "    cols { [1]; [x]; }\n"
+               "}\n")
+    path = _write(tmp_path, session + "run split(T) { format json; }\n")
+    assert main(["run", path]) == EXIT_OK
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["image_rank"] == 1 and "power_check" not in rep
+    path = _write(tmp_path, session + "run split(T) { format text; }\n")
+    assert main(["run", path]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert "image_rank" in out and "power_check" not in out
+
+
 def test_fmt_canonical_and_idempotent(tmp_path, capsys):
     assert main(["fmt", str(DATA / "example.sd")]) == EXIT_OK
     once = capsys.readouterr().out

@@ -1,7 +1,12 @@
 """Resolutions, Ext, depth, dimension, Hilbert series."""
 
+import os
+
 import pytest
 
+import semidual
+from semidual import homalg
+from semidual.cli import build_environment
 from semidual.polyring import PolyRing, PrimeField
 from semidual.groebner import GradedRing
 from semidual.fpmod import (
@@ -9,6 +14,7 @@ from semidual.fpmod import (
     RingMatrix,
     free_module,
     is_isomorphic,
+    quotient_by_element,
     residue_field_module,
 )
 from semidual.homalg import (
@@ -20,6 +26,7 @@ from semidual.homalg import (
     ext_dim_k,
     ext_is_zero,
     ext_module,
+    first_nonvanishing_ext,
     free_resolution,
     hilbert_coefficients,
     hilbert_numerator_module,
@@ -29,6 +36,10 @@ from semidual.homalg import (
     regular_sequence_search,
     resolution_complex,
 )
+from semidual.semidual import check_semidualizing
+from semidual.session import parse_session
+
+from conftest import make_hypersurface, make_poly_xy, make_semigroup
 
 F = PrimeField(101)
 
@@ -152,3 +163,139 @@ def test_artinian_reduction(curve):
     assert not W1.is_zero_module()
     assert depth(W1) == 0 and depth_koszul(W1) == 0
     assert module_dimension(W1) == 0
+
+
+# ---------------------------------------------------------------------------
+# The Ext walker and its memo.
+
+def _walker_cases():
+    """(label, M, N, lo, hi) on freshly declared modules.  Each call
+    declares new objects, so no memoised verdict carries over."""
+    xy = make_poly_xy()
+    hs = make_hypersurface()
+    hs_x = quotient_by_element(hs.C, hs.amb.variable(0))
+    sg = make_semigroup()
+    return [
+        ("poly-xy Ext(k, R)", xy.k, xy.C, 0, 3),
+        ("poly-xy Ext(k, k)", xy.k, xy.k, 0, 2),
+        ("hypersurface Ext(k, R)", hs.k, hs.C, 0, 2),
+        ("hypersurface Ext(R/x, R)", hs_x, hs.C, 1, 3),
+        ("hypersurface Ext(R/x, R/x)", hs_x, hs_x, 1, 3),
+        ("semigroup Ext(omega, omega)", sg.C, sg.C, 1, 2),
+        ("semigroup Ext(k, omega)", sg.k, sg.C, 0, 1),
+    ]
+
+
+def test_walker_matches_per_index_ext_modules():
+    walked = _walker_cases()
+    fresh = _walker_cases()
+    firsts = {}
+    for (label, M, N, lo, hi), (_, M2, N2, _, _) in zip(walked, fresh):
+        want = [ext_module(M2, N2, i).is_zero_module()
+                for i in range(lo, hi + 1)]
+        first = next((i for i, z in zip(range(lo, hi + 1), want) if not z),
+                     None)
+        firsts[label] = first
+        assert first_nonvanishing_ext(M, N, lo, hi) == first, label
+        # the verdicts memoised by that walk, then one index at a time
+        assert [ext_is_zero(M, N, i) for i in range(lo, hi + 1)] == want, \
+            label
+    assert firsts == {
+        "poly-xy Ext(k, R)": 2,
+        "poly-xy Ext(k, k)": 0,
+        "hypersurface Ext(k, R)": 1,
+        "hypersurface Ext(R/x, R)": None,
+        "hypersurface Ext(R/x, R/x)": 1,
+        "semigroup Ext(omega, omega)": None,
+        "semigroup Ext(k, omega)": 1,
+    }
+
+
+def test_walk_passes_the_shared_hom_module_along(monkeypatch):
+    pairs = []
+    real = homalg.homology_is_zero
+
+    def spy(into, outof):
+        pairs.append((into, outof))
+        return real(into, outof)
+
+    monkeypatch.setattr(homalg, "homology_is_zero", spy)
+    sg = make_semigroup()
+    assert first_nonvanishing_ext(sg.C, sg.C, 1, 3) is None
+    assert len(pairs) == 3
+    for t_in, t_next in pairs:
+        assert t_in.target is t_next.source
+    for (_, t_prev), (t_in, _) in zip(pairs, pairs[1:]):
+        assert t_in is t_prev
+
+
+def test_second_certificate_builds_no_hom_map(monkeypatch):
+    built = []
+    real = homalg._hom_into
+
+    def counting(*args):
+        built.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(homalg, "_hom_into", counting)
+    omega = make_semigroup().C
+    first = check_semidualizing(omega, ext_bound=3)
+    n_first = len(built)
+    second = check_semidualizing(omega, ext_bound=3)
+    assert first.passed and n_first > 0
+    assert len(built) == n_first
+    assert second.to_json_dict() == first.to_json_dict()
+
+
+# depth_with_witness on every module and ring of the bundled corpus,
+# pinned from the search before it stopped at the known depth.
+CORPUS_WITNESSES = {
+    ("poly-x", "C"): ["x"],
+    ("poly-x", "k"): [],
+    ("poly-x", "R"): ["x"],
+    ("poly-xy", "C"): ["x", "y"],
+    ("poly-xy", "k"): [],
+    ("poly-xy", "Cx"): ["y"],
+    ("poly-xy", "R"): ["x", "y"],
+    ("hypersurface-x2", "C"): ["y"],
+    ("hypersurface-x2", "k"): [],
+    ("hypersurface-x2", "Cy"): [],
+    ("hypersurface-x2", "R"): ["y"],
+    ("semigroup-345", "omega"): ["x"],
+    ("semigroup-345", "Yx"): [],
+    ("semigroup-345", "k"): [],
+    ("semigroup-345", "R"): ["x"],
+}
+
+
+def _corpus_modules():
+    corpus = os.path.join(os.path.dirname(semidual.__file__), "corpus")
+    out = {}
+    for fname in sorted(os.listdir(corpus)):
+        with open(os.path.join(corpus, fname)) as f:
+            spec = parse_session(f.read())
+        for entry in spec.corpus_entries():
+            env = build_environment(entry.statements)
+            for name, M in env.modules.items():
+                out[entry.name, name] = M
+            for name, R in env.rings.items():
+                out[entry.name, name] = free_module(R, (0,))
+    return out
+
+
+def test_depth_witness_on_corpus_modules():
+    mods = _corpus_modules()
+    assert set(mods) == set(CORPUS_WITNESSES)
+    for key, M in mods.items():
+        r = depth_with_witness(M)
+        assert [str(f) for f in r.witness] == CORPUS_WITNESSES[key], key
+        assert r.value == len(r.witness)
+
+
+def test_depth_witness_rejects_a_depth_too_low(monkeypatch):
+    M = make_poly_xy().C
+    real = homalg.depth
+    monkeypatch.setattr(
+        homalg, "depth", lambda N: real(N) - 1 if N is M else real(N))
+    with pytest.raises(RuntimeError, match="leaves depth 1"):
+        depth_with_witness(M)
