@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import random
 
-from .polyring import Polynomial, mono_divides
+from .polyring import Polynomial, mono_divides, mono_mul
 from .groebner import (
     GradedRing,
     GroebnerBasis,
@@ -31,6 +31,7 @@ from .linalg import is_invertible, matrix_rank, nullspace
 
 __all__ = [
     "RingMatrix",
+    "block_matrix",
     "FPModule",
     "ModuleHom",
     "HomModule",
@@ -62,7 +63,6 @@ __all__ = [
     "identity_hom",
     "zero_hom",
     "tuple_to_vec",
-    "vec_to_tuple",
     "column_degree",
     "inflation_vectors",
     "min_generate_columns",
@@ -70,7 +70,9 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# Column vectors: tuples of ambient polynomials, one per module generator.
+# Column vectors: {(row, exps): coeff}, the Groebner engine's format.  Dense
+# columns (tuples of ambient polynomials, one per row) appear only at the
+# interfaces that take or print them.
 
 def tuple_to_vec(col) -> dict:
     v = {}
@@ -80,26 +82,12 @@ def tuple_to_vec(col) -> dict:
     return v
 
 
-def vec_to_tuple(v: dict, ring, rank: int):
-    rows = [{} for _ in range(rank)]
-    for (r, e), c in v.items():
-        rows[r][e] = c
-    zero = ring.zero()
-    return tuple(ring.from_dict(d) if d else zero for d in rows)
-
-
-def column_degree(col, row_degrees):
-    """Common weighted degree of a homogeneous column; None if zero."""
-    deg = None
-    for f, r in zip(col, row_degrees):
-        if f.is_zero:
-            continue
-        d = f.homogeneous_degree() + r
-        if deg is None:
-            deg = d
-        elif deg != d:
-            raise ValueError("column is not homogeneous")
-    return deg
+def column_degree(amb, v: dict, row_degrees):
+    """Common weighted degree of a homogeneous column vector; None if zero."""
+    degs = {amb.wdeg(e) + row_degrees[i] for i, e in v}
+    if len(degs) > 1:
+        raise ValueError("column is not homogeneous")
+    return degs.pop() if degs else None
 
 
 def inflation_vectors(ring: GradedRing, rank: int):
@@ -114,9 +102,10 @@ def inflation_vectors(ring: GradedRing, rank: int):
 
 def min_generate_columns(ring: GradedRing, cols, row_degrees, extra=(),
                          reduced_seed=None):
-    """Greedy minimal generation: feed homogeneous columns in increasing
-    degree into a span seeded with the inflation columns (and `extra`), keep
-    the ones that enlarge it.  Returns [(original index, column, degree)].
+    """Greedy minimal generation: feed homogeneous column vectors in
+    increasing degree into a span seeded with the inflation columns (and
+    `extra`), keep the ones that enlarge it.  Returns [(original index,
+    column, degree)].
 
     When the caller already holds a reduced basis of the modulo-part (a
     cached relgb, say), passing it as reduced_seed skips re-saturating it.
@@ -125,15 +114,15 @@ def min_generate_columns(ring: GradedRing, cols, row_degrees, extra=(),
         reduced_seed = inflation_vectors(ring, len(row_degrees))
     span = IncrementalSpan(ring.ambient, extra, reduced_seed=reduced_seed)
     staged = []
-    for j, col in enumerate(cols):
-        d = column_degree(col, row_degrees)
+    for j, v in enumerate(cols):
+        d = column_degree(ring.ambient, v, row_degrees)
         if d is not None:
-            staged.append((d, j, col))
+            staged.append((d, j, v))
     staged.sort(key=lambda t: (t[0], t[1]))
     kept = []
-    for d, j, col in staged:
-        if span.add(tuple_to_vec(col)):
-            kept.append((j, col, d))
+    for d, j, v in staged:
+        if span.add(v):
+            kept.append((j, v, d))
     return kept
 
 
@@ -143,67 +132,103 @@ def min_generate_columns(ring: GradedRing, cols, row_degrees, extra=(),
 class RingMatrix:
     """Matrix over a graded quotient ring with degree-labelled rows and
     columns; entry (i, j) is zero or homogeneous of degree
-    col_degrees[j] - row_degrees[i].  Entries are stored in normal form
-    modulo the defining ideal."""
+    col_degrees[j] - row_degrees[i].
 
-    __slots__ = ("ring", "entries", "row_degrees", "col_degrees")
+    Stored by columns: cols[j] is column j as a {(row, exps): coeff}
+    vector holding the nonzero entries only, each in normal form modulo
+    the defining ideal, rows ascending and each entry's terms in the ring
+    order.  The vectors are shared with callers, who must not mutate
+    them."""
 
-    def __init__(self, ring: GradedRing, entries, row_degrees, col_degrees):
+    __slots__ = ("ring", "cols", "row_degrees", "col_degrees")
+
+    def __init__(self, ring: GradedRing, cols, row_degrees, col_degrees):
         self.ring = ring
         self.row_degrees = tuple(row_degrees)
         self.col_degrees = tuple(col_degrees)
-        rows = []
-        for i, row in enumerate(entries):
-            row = tuple(f if f.is_zero else ring.nf(f) for f in row)
-            if len(row) != len(self.col_degrees):
-                raise ValueError("ragged matrix")
-            for j, f in enumerate(row):
-                if f.is_zero:
+        cols = tuple(cols)
+        if len(cols) != len(self.col_degrees):
+            raise ValueError("column count does not match column degrees")
+        amb = ring.ambient
+        nrows = len(self.row_degrees)
+        checked = {}  # entry terms -> (normal form, degree), per build
+        out = []
+        for j, v in enumerate(cols):
+            by_row = {}
+            for (i, e), c in v.items():
+                by_row.setdefault(i, {})[e] = c
+            col = {}
+            for i in sorted(by_row):
+                if not 0 <= i < nrows:
+                    raise ValueError(f"row {i} of column {j} is out of range")
+                terms = by_row[i]
+                key = tuple(terms.items())
+                hit = checked.get(key)
+                if hit is None:
+                    f = ring.nf(amb.from_dict(terms))
+                    hit = checked[key] = (f, f.homogeneous_degree())
+                f, d = hit
+                if d is None:
                     continue
-                d = f.homogeneous_degree()
                 want = self.col_degrees[j] - self.row_degrees[i]
                 if d != want:
                     raise ValueError(
                         f"entry ({i},{j}) = {f} has degree {d}, expected {want}")
-            rows.append(row)
-        if len(rows) != len(self.row_degrees):
-            raise ValueError("row count does not match row degrees")
-        self.entries = tuple(rows)
+                for e, c in f.terms:
+                    col[(i, e)] = c
+            out.append(col)
+        self.cols = tuple(out)
 
     # -- construction ---------------------------------------------------
 
     @classmethod
-    def identity(cls, ring: GradedRing, degrees) -> "RingMatrix":
-        degrees = tuple(degrees)
-        n = len(degrees)
-        one = ring.ambient.one()
-        zero = ring.ambient.zero()
-        rows = [[one if i == j else zero for j in range(n)] for i in range(n)]
-        return cls(ring, rows, degrees, degrees)
-
-    @classmethod
-    def zero(cls, ring: GradedRing, row_degrees, col_degrees) -> "RingMatrix":
-        z = ring.ambient.zero()
-        rows = [[z] * len(tuple(col_degrees)) for _ in tuple(row_degrees)]
-        return cls(ring, rows, row_degrees, col_degrees)
+    def from_rows(cls, ring: GradedRing, rows, row_degrees,
+                  col_degrees) -> "RingMatrix":
+        """The matrix with the given dense rows of ambient polynomials."""
+        row_degrees = tuple(row_degrees)
+        col_degrees = tuple(col_degrees)
+        rows = [tuple(r) for r in rows]
+        if len(rows) != len(row_degrees):
+            raise ValueError("row count does not match row degrees")
+        if any(len(r) != len(col_degrees) for r in rows):
+            raise ValueError("ragged matrix")
+        cols = [{} for _ in col_degrees]
+        for i, row in enumerate(rows):
+            for j, f in enumerate(row):
+                for e, c in f.terms:
+                    cols[j][(i, e)] = c
+        return cls(ring, cols, row_degrees, col_degrees)
 
     @classmethod
     def from_columns(cls, ring: GradedRing, cols, row_degrees,
                      col_degrees=None) -> "RingMatrix":
+        """The matrix with the given dense columns; their degrees are read
+        off the columns when not given."""
         row_degrees = tuple(row_degrees)
         cols = [tuple(c) for c in cols]
+        if any(len(c) != len(row_degrees) for c in cols):
+            raise ValueError("column length does not match row degrees")
+        vecs = [tuple_to_vec(c) for c in cols]
         if col_degrees is None:
-            degs = []
-            for c in cols:
-                d = column_degree(c, row_degrees)
-                if d is None:
-                    raise ValueError("cannot infer the degree of a zero column")
-                degs.append(d)
-            col_degrees = degs
-        rows = [[c[i] for c in cols] for i in range(len(row_degrees))]
-        return cls(ring, rows, row_degrees, col_degrees)
+            col_degrees = [column_degree(ring.ambient, v, row_degrees)
+                           for v in vecs]
+            if None in col_degrees:
+                raise ValueError("cannot infer the degree of a zero column")
+        return cls(ring, vecs, row_degrees, col_degrees)
 
-    # -- shape ------------------------------------------------------------
+    @classmethod
+    def identity(cls, ring: GradedRing, degrees) -> "RingMatrix":
+        zero = ring.ambient._zero_exps
+        degrees = tuple(degrees)
+        return cls(ring, [{(i, zero): 1} for i in range(len(degrees))],
+                   degrees, degrees)
+
+    @classmethod
+    def zero(cls, ring: GradedRing, row_degrees, col_degrees) -> "RingMatrix":
+        col_degrees = tuple(col_degrees)
+        return cls(ring, [{} for _ in col_degrees], row_degrees, col_degrees)
+
+    # -- shape and views ------------------------------------------------
 
     @property
     def nrows(self) -> int:
@@ -213,16 +238,59 @@ class RingMatrix:
     def ncols(self) -> int:
         return len(self.col_degrees)
 
-    def column(self, j: int):
-        return tuple(self.entries[i][j] for i in range(self.nrows))
-
-    def columns(self):
-        return [self.column(j) for j in range(self.ncols)]
-
     def col_vec(self, j: int) -> dict:
-        return tuple_to_vec(self.column(j))
+        return self.cols[j]
+
+    def row_vecs(self):
+        """The rows as vectors indexed by column: row i is
+        {(j, exps): coeff}."""
+        rows = [{} for _ in self.row_degrees]
+        for j, v in enumerate(self.cols):
+            for (i, e), c in v.items():
+                rows[i][(j, e)] = c
+        return rows
+
+    def _entry_polys(self, v: dict) -> dict:
+        """{row: polynomial} for the nonzero entries of a stored column."""
+        terms = {}
+        for (i, e), c in v.items():
+            terms.setdefault(i, []).append((e, c))
+        amb = self.ring.ambient
+        return {i: Polynomial(amb, tuple(t)) for i, t in terms.items()}
+
+    def column(self, j: int):
+        """Column j as a dense tuple of ambient polynomials."""
+        zero = self.ring.ambient.zero()
+        polys = self._entry_polys(self.cols[j])
+        return tuple(polys.get(i, zero) for i in range(self.nrows))
+
+    @property
+    def entries(self):
+        """Dense rows of ambient polynomials, built on each access; for
+        printing and small eliminations only."""
+        zero = self.ring.ambient.zero()
+        rows = [[zero] * self.ncols for _ in self.row_degrees]
+        for j, v in enumerate(self.cols):
+            for i, f in self._entry_polys(v).items():
+                rows[i][j] = f
+        return tuple(map(tuple, rows))
 
     # -- arithmetic ---------------------------------------------------------
+
+    def apply_vec(self, v: dict) -> dict:
+        """The product with a column vector, as an ambient vector not yet
+        reduced modulo the defining ideal."""
+        p = self.ring.field.p
+        out = {}
+        for (a, e2), c2 in v.items():
+            for (i, e1), c1 in self.cols[a].items():
+                k = (i, mono_mul(e1, e2))
+                c = (out.get(k, 0) + c1 * c2) % p
+                if c:
+                    out[k] = c
+                else:
+                    del out[k]
+        return out
 
     def mul(self, other: "RingMatrix") -> "RingMatrix":
         """Matrix product; the degree ledgers must compose up to a uniform
@@ -235,47 +303,44 @@ class RingMatrix:
             if len(offs) != 1:
                 raise ValueError("degree ledgers do not compose")
             offset = offs.pop()
-        z = self.ring.ambient.zero()
-        rows = []
-        for i in range(self.nrows):
-            row = []
-            for j in range(other.ncols):
-                acc = z
-                for a in range(self.ncols):
-                    f, g = self.entries[i][a], other.entries[a][j]
-                    if f and g:
-                        acc = acc + f * g
-                row.append(acc)
-            rows.append(row)
-        return RingMatrix(self.ring, rows, self.row_degrees,
+        return RingMatrix(self.ring, [self.apply_vec(v) for v in other.cols],
+                          self.row_degrees,
                           tuple(d + offset for d in other.col_degrees))
 
     def add(self, other: "RingMatrix") -> "RingMatrix":
         if (self.row_degrees, self.col_degrees) != (
                 other.row_degrees, other.col_degrees):
             raise ValueError("degree ledgers differ in matrix sum")
-        rows = [[a + b for a, b in zip(r1, r2)]
-                for r1, r2 in zip(self.entries, other.entries)]
-        return RingMatrix(self.ring, rows, self.row_degrees, self.col_degrees)
+        p = self.ring.field.p
+        cols = []
+        for v, w in zip(self.cols, other.cols):
+            s = dict(v)
+            for k, c in w.items():
+                c = (s.get(k, 0) + c) % p
+                if c:
+                    s[k] = c
+                else:
+                    del s[k]
+            cols.append(s)
+        return RingMatrix(self.ring, cols, self.row_degrees, self.col_degrees)
 
     def sub(self, other: "RingMatrix") -> "RingMatrix":
         return self.add(other.scale(-1))
 
     def scale(self, c: int) -> "RingMatrix":
-        rows = [[f * c for f in row] for row in self.entries]
-        return RingMatrix(self.ring, rows, self.row_degrees, self.col_degrees)
+        p = self.ring.field.p
+        cols = [{k: c0 * c % p for k, c0 in v.items()} for v in self.cols]
+        return RingMatrix(self.ring, cols, self.row_degrees, self.col_degrees)
 
     def transpose(self) -> "RingMatrix":
-        rows = [[self.entries[i][j] for i in range(self.nrows)]
-                for j in range(self.ncols)]
         return RingMatrix(
-            self.ring, rows,
+            self.ring, self.row_vecs(),
             tuple(-d for d in self.col_degrees),
             tuple(-d for d in self.row_degrees),
         )
 
     def twist(self, d: int) -> "RingMatrix":
-        return RingMatrix(self.ring, self.entries,
+        return RingMatrix(self.ring, self.cols,
                           tuple(r - d for r in self.row_degrees),
                           tuple(c - d for c in self.col_degrees))
 
@@ -283,8 +348,7 @@ class RingMatrix:
         """[self | other]; row degrees must agree."""
         if self.row_degrees != other.row_degrees:
             raise ValueError("row degrees differ")
-        rows = [r1 + r2 for r1, r2 in zip(self.entries, other.entries)]
-        return RingMatrix(self.ring, rows, self.row_degrees,
+        return RingMatrix(self.ring, self.cols + other.cols, self.row_degrees,
                           self.col_degrees + other.col_degrees)
 
     # -- queries --------------------------------------------------------
@@ -292,17 +356,23 @@ class RingMatrix:
     def constant_part(self):
         """Scalar matrix of degree-zero parts; nonzero exactly where the row
         and column degrees coincide, since entries are homogeneous."""
-        return [[f.constant_coefficient() for f in row] for row in self.entries]
+        zero = self.ring.ambient._zero_exps
+        out = [[0] * self.ncols for _ in self.row_degrees]
+        for j, v in enumerate(self.cols):
+            for (i, e), c in v.items():
+                if e == zero:
+                    out[i][j] = c
+        return out
 
     @property
     def is_zero_matrix(self) -> bool:
-        return all(f.is_zero for row in self.entries for f in row)
+        return not any(self.cols)
 
     def entries_in_maximal_ideal(self) -> bool:
         """True when no entry has a unit part; the defining property of a
         minimal presentation matrix."""
-        return all(f.constant_coefficient() == 0
-                   for row in self.entries for f in row)
+        zero = self.ring.ambient._zero_exps
+        return all(e != zero for v in self.cols for _, e in v)
 
     def __eq__(self, other):
         return (
@@ -310,24 +380,38 @@ class RingMatrix:
             and self.ring == other.ring
             and self.row_degrees == other.row_degrees
             and self.col_degrees == other.col_degrees
-            and self.entries == other.entries
+            and self.cols == other.cols
         )
 
     def __hash__(self):
+        # the storage order is canonical, so equal matrices hash alike
         return hash((self.ring, self.row_degrees, self.col_degrees,
-                     self.entries))
+                     tuple(tuple(v.items()) for v in self.cols)))
 
     def to_rows_str(self):
         return [[str(f) for f in row] for row in self.entries]
 
     def __str__(self):
-        if not self.entries:
+        if not self.nrows:
             return "[]"
         return "[" + "; ".join(
             ", ".join(str(f) for f in row) for row in self.entries) + "]"
 
     def __repr__(self):
         return f"RingMatrix({self.nrows}x{self.ncols} over {self.ring.name})"
+
+
+def block_matrix(ring: GradedRing, placed, row_degrees,
+                 col_degrees) -> RingMatrix:
+    """The matrix whose columns are given by placed = [(v, stride,
+    offset)]: column vector v with row i moved to row i*stride + offset.
+    T (x) 1_n is [(column j of T, n, b) for each j, then b < n], and a
+    block diagonal puts each block's columns at its row offset.  The cost
+    grows with the number of nonzeros placed, not with the size of the
+    result."""
+    cols = [{(i * s + o, e): c for (i, e), c in v.items()}
+            for v, s, o in placed]
+    return RingMatrix(ring, cols, row_degrees, col_degrees)
 
 
 # ---------------------------------------------------------------------------
@@ -380,21 +464,9 @@ class FPModule:
 
     # -- element normal forms -------------------------------------------
 
-    def nf_vec(self, v: dict) -> dict:
-        return self.relgb.nf(v)
-
-    def nf(self, col):
-        """Canonical representative of a column vector."""
-        return vec_to_tuple(self.nf_vec(tuple_to_vec(col)),
-                            self.ring.ambient, self.ngens)
-
     def contains_zero(self, col) -> bool:
+        """True when the dense column is zero in the module."""
         return self.relgb.contains(tuple_to_vec(col))
-
-    def generator(self, i: int):
-        amb = self.ring.ambient
-        return tuple(amb.one() if j == i else amb.zero()
-                     for j in range(self.ngens))
 
     def is_zero_module(self) -> bool:
         zero = self.ring.ambient._zero_exps
@@ -439,7 +511,8 @@ class FPModule:
         field = R.field
         gens = list(self.gen_degrees)
         surviving = list(range(len(gens)))
-        cols = [list(c) for c in self.relations.columns()]
+        cols = [list(self.relations.column(j))
+                for j in range(self.relations.ncols)]
         cdegs = list(self.relations.col_degrees)
         # proj maps original generators into the current ones
         proj = [[amb.one() if i == j else amb.zero()
@@ -482,19 +555,18 @@ class FPModule:
             keep = [jj for jj, col in enumerate(cols) if any(col)]
             cols = [cols[jj] for jj in keep]
             cdegs = [cdegs[jj] for jj in keep]
-        kept = min_generate_columns(R, cols, gens)
-        rel = RingMatrix.from_columns(R, [c for _, c, _ in kept], gens,
-                                      [d for _, _, d in kept])
+        kept = min_generate_columns(R, [tuple_to_vec(c) for c in cols], gens)
+        rel = RingMatrix(R, [v for _, v, _ in kept], gens,
+                         [d for _, _, d in kept])
         N = FPModule(R, tuple(gens), rel)
         proj_hom = ModuleHom(
             self, N,
-            RingMatrix(R, proj, tuple(gens), self.gen_degrees))
-        inj_rows = [[amb.one() if surviving[t] == o else amb.zero()
-                     for t in range(len(gens))]
-                    for o in range(self.ngens)]
+            RingMatrix.from_rows(R, proj, tuple(gens), self.gen_degrees))
+        zero = amb._zero_exps
         inj_hom = ModuleHom(
             N, self,
-            RingMatrix(R, inj_rows, self.gen_degrees, tuple(gens)))
+            RingMatrix(R, [{(o, zero): 1} for o in surviving],
+                       self.gen_degrees, tuple(gens)))
         self._min = (N, proj_hom, inj_hom)
         return self._min
 
@@ -546,68 +618,42 @@ def direct_sum(modules) -> FPModule:
     R = modules[0].ring
     if any(m.ring != R for m in modules):
         raise ValueError("summands live over different rings")
-    amb = R.ambient
     gens = tuple(g for m in modules for g in m.gen_degrees)
-    total = len(gens)
-    cols = []
+    placed = []
     cdegs = []
     basis = []
     offset = 0
     for m in modules:
-        for j in range(m.relations.ncols):
-            col = m.relations.column(j)
-            big = [amb.zero()] * total
-            big[offset:offset + m.ngens] = list(col)
-            cols.append(tuple(big))
-            cdegs.append(m.relations.col_degrees[j])
+        placed += [(v, 1, offset) for v in m.relations.cols]
+        cdegs += m.relations.col_degrees
         for v in m.relgb.basis:
             basis.append({(r + offset, e): c for (r, e), c in v.items()})
         offset += m.ngens
-    rel = RingMatrix.from_columns(R, cols, gens, cdegs)
-    out = FPModule(R, gens, rel)
-    out._relgb = ModuleGB.from_reduced(amb, basis, total)
+    out = FPModule(R, gens, block_matrix(R, placed, gens, cdegs))
+    out._relgb = ModuleGB.from_reduced(R.ambient, basis, len(gens))
     return out
 
 
 def power_with_twists(W: FPModule, twists) -> FPModule:
     """Direct sum of copies of W twisted by the given degrees."""
     W.relgb  # force once so every twist shares it
-    return direct_sum([W.twist(d) for d in twists])
+    twisted = {d: W.twist(d) for d in set(twists)}
+    return direct_sum([twisted[d] for d in twists])
 
 
 def tensor_product(M: FPModule, N: FPModule) -> FPModule:
     """M (x) N: generator (i, a) at flat index i*ngens(N) + a."""
     if M.ring != N.ring:
         raise ValueError("tensor factors live over different rings")
-    R = M.ring
-    amb = R.ambient
     nN = N.ngens
     gens = tuple(g + h for g in M.gen_degrees for h in N.gen_degrees)
-    cols = []
-    cdegs = []
-    z = [amb.zero()] * len(gens)
-    for j in range(M.relations.ncols):
-        r = M.relations.column(j)
-        d = M.relations.col_degrees[j]
-        for a in range(nN):
-            col = list(z)
-            for i in range(M.ngens):
-                if r[i]:
-                    col[i * nN + a] = r[i]
-            cols.append(tuple(col))
-            cdegs.append(d + N.gen_degrees[a])
-    for j in range(N.relations.ncols):
-        s = N.relations.column(j)
-        d = N.relations.col_degrees[j]
-        for i in range(M.ngens):
-            col = list(z)
-            for a in range(nN):
-                if s[a]:
-                    col[i * nN + a] = s[a]
-            cols.append(tuple(col))
-            cdegs.append(d + M.gen_degrees[i])
-    rel = RingMatrix.from_columns(R, cols, gens, cdegs)
-    return FPModule(R, gens, rel)
+    # relations of M (x) 1_N, then 1_M (x) relations of N
+    placed = [(v, nN, a) for v in M.relations.cols for a in range(nN)]
+    cdegs = [d + h for d in M.relations.col_degrees for h in N.gen_degrees]
+    placed += [(v, 1, i * nN) for v in N.relations.cols
+               for i in range(M.ngens)]
+    cdegs += [d + g for d in N.relations.col_degrees for g in M.gen_degrees]
+    return FPModule(M.ring, gens, block_matrix(M.ring, placed, gens, cdegs))
 
 
 # ---------------------------------------------------------------------------
@@ -635,33 +681,15 @@ class ModuleHom:
     @classmethod
     def from_entries(cls, source: FPModule, target: FPModule, entries,
                      shift: int = 0) -> "ModuleHom":
-        mat = RingMatrix(source.ring, entries, target.gen_degrees,
-                         tuple(g + shift for g in source.gen_degrees))
+        mat = RingMatrix.from_rows(
+            source.ring, entries, target.gen_degrees,
+            tuple(g + shift for g in source.gen_degrees))
         return cls(source, target, mat, shift)
-
-    def apply(self, col):
-        """Image of a source column vector, in target normal form."""
-        R = self.source.ring
-        acc = [R.ambient.zero()] * self.target.ngens
-        for j, f in enumerate(col):
-            if f.is_zero:
-                continue
-            for i in range(self.target.ngens):
-                g = self.matrix.entries[i][j]
-                if g:
-                    acc[i] = acc[i] + f * g
-        return self.target.nf(tuple(acc))
 
     def well_defined(self) -> bool:
         """Every source relation must land in the target relation span."""
-        rel = self.source.relations
-        for j in range(rel.ncols):
-            img = self.matrix.mul(RingMatrix.from_columns(
-                self.source.ring, [rel.column(j)], rel.row_degrees,
-                [rel.col_degrees[j]]))
-            if not self.target.relgb.contains(img.col_vec(0)):
-                return False
-        return True
+        return all(self.target.relgb.contains(self.matrix.apply_vec(v))
+                   for v in self.source.relations.cols)
 
     def compose(self, other: "ModuleHom") -> "ModuleHom":
         """self after other."""
@@ -706,10 +734,8 @@ def scalar_hom(M: FPModule, f: Polynomial) -> ModuleHom:
     d = f.homogeneous_degree()
     if d is None:
         d = 0
-    amb = M.ring.ambient
-    n = M.ngens
-    rows = [[f if i == j else amb.zero() for j in range(n)] for i in range(n)]
-    mat = RingMatrix(M.ring, rows, M.gen_degrees,
+    cols = [{(j, e): c for e, c in f.terms} for j in range(M.ngens)]
+    mat = RingMatrix(M.ring, cols, M.gen_degrees,
                      tuple(g + d for g in M.gen_degrees))
     return ModuleHom(M, M, mat, d)
 
@@ -718,20 +744,15 @@ def scalar_hom(M: FPModule, f: Polynomial) -> ModuleHom:
 # Kernels, cokernels, homology.
 
 def kernel_generators(phi: ModuleHom):
-    """Columns over the source free cover generating the kernel, including
-    redundant ones: the coefficient vectors whose pairing with the matrix
-    columns lands in the target's relation span."""
+    """Column vectors over the source free cover generating the kernel,
+    including redundant ones: the coefficient vectors whose pairing with
+    the matrix columns lands in the target's relation span."""
     M, N = phi.source, phi.target
     amb = M.ring.ambient
-    m = M.ngens
     if N.ngens == 0:
-        return [M.generator(i) for i in range(m)]
-    cols = [phi.matrix.col_vec(j) for j in range(m)]
-    out = []
-    for u in relative_kernel(amb, cols, N.relgb.basis, N.ngens):
-        if u:
-            out.append(vec_to_tuple(u, amb, m))
-    return out
+        return [{(i, amb._zero_exps): 1} for i in range(M.ngens)]
+    return [u for u in relative_kernel(amb, phi.matrix.cols, N.relgb.basis,
+                                       N.ngens) if u]
 
 
 def syzygies(mat: RingMatrix) -> RingMatrix:
@@ -739,16 +760,12 @@ def syzygies(mat: RingMatrix) -> RingMatrix:
     as a matrix whose columns are the syzygies; zero columns when the map is
     injective."""
     R = mat.ring
-    amb = R.ambient
-    cols = [mat.col_vec(j) for j in range(mat.ncols)]
-    raw = []
-    for u in relative_kernel(amb, cols, inflation_vectors(R, mat.nrows),
-                             mat.nrows):
-        if u:
-            raw.append(vec_to_tuple(u, amb, mat.ncols))
+    raw = [u for u in relative_kernel(R.ambient, mat.cols,
+                                      inflation_vectors(R, mat.nrows),
+                                      mat.nrows) if u]
     kept = min_generate_columns(R, raw, mat.col_degrees)
-    return RingMatrix.from_columns(R, [c for _, c, _ in kept],
-                                   mat.col_degrees, [d for _, _, d in kept])
+    return RingMatrix(R, [v for _, v, _ in kept], mat.col_degrees,
+                      [d for _, _, d in kept])
 
 
 def minimal_generators(M: FPModule):
@@ -760,14 +777,13 @@ def minimal_generators(M: FPModule):
 
 
 def is_injective(phi: ModuleHom) -> bool:
-    return all(phi.source.relgb.contains(tuple_to_vec(u))
-               for u in kernel_generators(phi))
+    return all(phi.source.relgb.contains(u) for u in kernel_generators(phi))
 
 
 def is_surjective(phi: ModuleHom) -> bool:
     N = phi.target
-    vecs = [phi.matrix.col_vec(j) for j in range(phi.matrix.ncols)]
-    span = IncrementalSpan(N.ring.ambient, vecs, reduced_seed=N.relgb.basis)
+    span = IncrementalSpan(N.ring.ambient, phi.matrix.cols,
+                           reduced_seed=N.relgb.basis)
     zero = N.ring.ambient._zero_exps
     return all(span.contains({(i, zero): 1}) for i in range(N.ngens))
 
@@ -788,19 +804,15 @@ def kernel(phi: ModuleHom):
     if not kept:
         K = FPModule(R, ())
         return K, ModuleHom(K, M, RingMatrix.zero(R, M.gen_degrees, ()))
-    gen_cols = [c for _, c, _ in kept]
+    gen_cols = [v for _, v, _ in kept]
     gdegs = [d for _, _, d in kept]
-    rel_raw = []
-    for w in relative_kernel(amb, [tuple_to_vec(c) for c in gen_cols],
-                             M.relgb.basis, M.ngens):
-        if w:
-            rel_raw.append(vec_to_tuple(w, amb, len(gen_cols)))
+    rel_raw = [w for w in relative_kernel(amb, gen_cols, M.relgb.basis,
+                                          M.ngens) if w]
     rel_kept = min_generate_columns(R, rel_raw, gdegs)
-    rel = RingMatrix.from_columns(R, [c for _, c, _ in rel_kept], gdegs,
-                                  [d for _, _, d in rel_kept])
+    rel = RingMatrix(R, [v for _, v, _ in rel_kept], gdegs,
+                     [d for _, _, d in rel_kept])
     K = FPModule(R, tuple(gdegs), rel)
-    incl = ModuleHom(K, M, RingMatrix.from_columns(
-        R, gen_cols, M.gen_degrees, gdegs))
+    incl = ModuleHom(K, M, RingMatrix(R, gen_cols, M.gen_degrees, gdegs))
     return K, incl
 
 
@@ -831,28 +843,23 @@ def homology_at(into: ModuleHom, outof: ModuleHom) -> FPModule:
     if outof.source != B:
         raise ValueError("maps are not consecutive")
     K, incl = kernel(outof)
-    cols = [incl.matrix.col_vec(j) for j in range(incl.matrix.ncols)]
-    ncols_incl = len(cols)
-    tracked = RelativeTracker(B.ring.ambient, cols, B.relgb.basis, B.ngens)
-    lifted = []
-    for j in range(into.matrix.ncols):
-        main, rep = tracked.reduce_with_rep(into.matrix.col_vec(j))
-        if main:
-            raise ValueError("not a complex: image escapes the kernel")
-        col = tuple(B.ring.nf(rep.get(t, B.ring.ambient.zero()))
-                    for t in range(ncols_incl))
-        lifted.append(col)
+    amb = B.ring.ambient
+    tracked = RelativeTracker(amb, incl.matrix.cols, B.relgb.basis, B.ngens)
     cols2 = []
     degs2 = []
-    for col in lifted:
-        d = column_degree(col, K.gen_degrees)
-        if d is None:
-            continue
-        cols2.append(col)
-        degs2.append(d)
+    for v in into.matrix.cols:
+        main, rep = tracked.reduce_with_rep(v)
+        if main:
+            raise ValueError("not a complex: image escapes the kernel")
+        col = tuple_to_vec(B.ring.nf(rep.get(t, amb.zero()))
+                           for t in range(incl.matrix.ncols))
+        d = column_degree(amb, col, K.gen_degrees)
+        if d is not None:
+            cols2.append(col)
+            degs2.append(d)
     if not cols2:
         return FPModule(B.ring, K.gen_degrees, K.relations)
-    rel = RingMatrix.from_columns(B.ring, cols2, K.gen_degrees, degs2)
+    rel = RingMatrix(B.ring, cols2, K.gen_degrees, degs2)
     if K.relations.ncols:
         rel = rel.stack_cols(K.relations)
     return FPModule(B.ring, K.gen_degrees, rel)
@@ -863,10 +870,9 @@ def homology_is_zero(into: ModuleHom, outof: ModuleHom) -> bool:
     B = into.target
     if outof.source != B:
         raise ValueError("maps are not consecutive")
-    vecs = [into.matrix.col_vec(j) for j in range(into.matrix.ncols)]
-    span = IncrementalSpan(B.ring.ambient, vecs, reduced_seed=B.relgb.basis)
-    return all(span.contains(tuple_to_vec(u))
-               for u in kernel_generators(outof))
+    span = IncrementalSpan(B.ring.ambient, into.matrix.cols,
+                           reduced_seed=B.relgb.basis)
+    return all(span.contains(u) for u in kernel_generators(outof))
 
 
 # ---------------------------------------------------------------------------
@@ -902,19 +908,11 @@ class HomModule:
             self._tracked = None
             return
         p1 = power_with_twists(N, list(rel.col_degrees))
-        amb = R.ambient
+        # rel^T (x) 1_N: an element of Hom(F0, N) composed with each relation
         nN = N.ngens
-        z = amb.zero()
-        rows = []
-        for r in range(rel.ncols):
-            for a in range(nN):
-                row = []
-                for i in range(M.ngens):
-                    f = rel.entries[i][r]
-                    for b in range(nN):
-                        row.append(f if a == b else z)
-                rows.append(row)
-        big = RingMatrix(R, rows, p1.gen_degrees, p0.gen_degrees)
+        big = block_matrix(R, [(v, nN, b) for v in rel.row_vecs()
+                               for b in range(nN)],
+                           p1.gen_degrees, p0.gen_degrees)
         psi = ModuleHom(p0, p1, big)
         self.module, self.inclusion = kernel(psi)
         self._p0 = p0
@@ -928,11 +926,14 @@ class HomModule:
         """The homomorphism M -> N carried by generator t; its shift is the
         generator's degree."""
         M, N = self.source, self.target
-        nN = N.ngens
         d = self.module.gen_degrees[t]
-        entries = [[self.inclusion.matrix.entries[j * nN + a][t]
-                    for j in range(M.ngens)] for a in range(nN)]
-        return ModuleHom.from_entries(M, N, entries, shift=d)
+        cols = [{} for _ in range(M.ngens)]
+        for (r, e), c in self.inclusion.matrix.cols[t].items():
+            j, a = divmod(r, N.ngens)
+            cols[j][(a, e)] = c
+        mat = RingMatrix(M.ring, cols, N.gen_degrees,
+                         tuple(g + d for g in M.gen_degrees))
+        return ModuleHom(M, N, mat, d)
 
     def coordinates_of(self, phi: ModuleHom):
         """Express a hom M -> N in the generators; requires phi to be well
@@ -942,24 +943,17 @@ class HomModule:
             raise ValueError("hom does not belong to this Hom module")
         amb = M.ring.ambient
         nN = N.ngens
-        v = {}
-        for j in range(M.ngens):
-            for a in range(nN):
-                f = phi.matrix.entries[a][j]
-                for e, c in f.terms:
-                    v[(j * nN + a, e)] = c
+        v = {(j * nN + a, e): c for j, col in enumerate(phi.matrix.cols)
+             for (a, e), c in col.items()}
         if self._tracked is None:
-            cols = [self.inclusion.matrix.col_vec(j)
-                    for j in range(self.inclusion.matrix.ncols)]
-            self._tracked = (
-                RelativeTracker(amb, cols, self._p0.relgb.basis,
-                                self._p0.ngens),
-                len(cols))
-        tracked, n0 = self._tracked
-        main, rep = tracked.reduce_with_rep(v)
+            self._tracked = RelativeTracker(
+                amb, self.inclusion.matrix.cols, self._p0.relgb.basis,
+                self._p0.ngens)
+        main, rep = self._tracked.reduce_with_rep(v)
         if main:
             raise ValueError("map is not in the hom module")
-        return [M.ring.nf(rep.get(t, amb.zero())) for t in range(n0)]
+        return [M.ring.nf(rep.get(t, amb.zero()))
+                for t in range(self.inclusion.matrix.ncols)]
 
 
 # ---------------------------------------------------------------------------
@@ -998,13 +992,7 @@ def quotient_by_element(M: FPModule, x: Polynomial) -> FPModule:
     d = x.homogeneous_degree()
     if d is None:
         return M
-    amb = M.ring.ambient
-    cols = []
-    for i in range(M.ngens):
-        cols.append(tuple(x if j == i else amb.zero()
-                          for j in range(M.ngens)))
-    extra = RingMatrix.from_columns(M.ring, cols, M.gen_degrees,
-                                    [g + d for g in M.gen_degrees])
+    extra = scalar_hom(M, x).matrix
     rel = extra if M.relations.ncols == 0 else extra.stack_cols(M.relations)
     return FPModule(M.ring, M.gen_degrees, rel)
 
@@ -1043,12 +1031,12 @@ def degree_zero_hom_space(M: FPModule, N: FPModule):
     if not unknowns:
         return []
     coord_index = {}
-    rows = []  # one row per (constraint coordinate), built transposed below
     cols_per_unknown = []
+    rel = M.relations.entries
     for (a, j, e) in unknowns:
         contrib = {}
         for r in range(M.relations.ncols):
-            f = M.relations.entries[j][r]
+            f = rel[j][r]
             if f.is_zero:
                 continue
             vec = {(a, ee): c for ee, c in f.scale_mono(1, e).terms}
@@ -1120,7 +1108,7 @@ def invert_unit_matrix(mat: RingMatrix) -> RingMatrix:
                 continue
             a[i] = [R.nf(g - f * h) for g, h in zip(a[i], a[k])]
             b[i] = [R.nf(g - f * h) for g, h in zip(b[i], b[k])]
-    out = RingMatrix(R, b, mat.col_degrees, mat.row_degrees)
+    out = RingMatrix.from_rows(R, b, mat.col_degrees, mat.row_degrees)
     if mat.mul(out) != RingMatrix.identity(R, mat.row_degrees):
         raise ValueError("matrix is not invertible over the ring")
     return out
@@ -1175,10 +1163,11 @@ def summand_analysis(e: ModuleHom):
     Ginv = invert_unit_matrix(G)
     u = RingMatrix.from_columns(R, gcols[:p], degs, gdegs[:p])
     v = RingMatrix.from_columns(R, gcols[p:], degs, gdegs[p:])
-    r = RingMatrix(R, Ginv.entries[:p], Ginv.row_degrees[:p],
-                   Ginv.col_degrees)
-    w = RingMatrix(R, Ginv.entries[p:], Ginv.row_degrees[p:],
-                   Ginv.col_degrees)
+    ginv = Ginv.entries
+    r = RingMatrix.from_rows(R, ginv[:p], Ginv.row_degrees[:p],
+                             Ginv.col_degrees)
+    w = RingMatrix.from_rows(R, ginv[p:], Ginv.row_degrees[p:],
+                             Ginv.col_degrees)
     checks = (
         r.mul(u) == RingMatrix.identity(R, tuple(gdegs[:p])),
         w.mul(v) == RingMatrix.identity(R, tuple(gdegs[p:])),

@@ -45,7 +45,6 @@ __all__ = [
     "module_syzygies",
     "relative_kernel",
     "vec_from_poly",
-    "vec_add",
     "vec_scale",
     "vec_lead",
 ]
@@ -60,17 +59,6 @@ def vec_from_poly(f: Polynomial, row: int = 0) -> dict:
 
 def vec_to_poly(v: dict, ring: PolyRing, row: int = 0) -> Polynomial:
     return ring.from_dict({e: c for (r, e), c in v.items() if r == row})
-
-
-def vec_add(a: dict, b: dict, p: int) -> dict:
-    out = dict(a)
-    for k, c in b.items():
-        nc = (out.get(k, 0) + c) % p
-        if nc:
-            out[k] = nc
-        else:
-            out.pop(k, None)
-    return out
 
 
 def vec_scale(v: dict, c: int, p: int) -> dict:
@@ -368,10 +356,9 @@ class IncrementalSpan:
 class TrackedGB:
     """Groebner data for column vectors in S^rank with representation
     tracking: tracking row rank+j carries the coefficient of input column j.
-    Supports membership with an explicit representation, and exposes the
-    syzygies found along the way."""
+    Exposes the syzygies found along the way."""
 
-    __slots__ = ("ring", "rank", "ncols", "basis", "_engine")
+    __slots__ = ("ring", "rank", "ncols", "basis")
 
     def __init__(self, ring: PolyRing, columns, rank: int):
         self.ring = ring
@@ -386,8 +373,6 @@ class TrackedGB:
         eng.add_generators(aug)
         eng.saturate()
         self.basis = eng.reduced_basis()
-        self._engine = _Engine(ring)
-        self._engine.seed_reduced(self.basis)
 
     def syzygies(self):
         """Vectors in S^ncols generating the syzygy module of the columns."""
@@ -398,23 +383,6 @@ class TrackedGB:
                 assert all(r >= self.rank for (r, _) in v)
                 out.append({(r - self.rank, e): c for (r, e), c in v.items()})
         return out
-
-    def reduce_with_rep(self, v: dict):
-        """Reduce v (in S^rank); returns (remainder over the main block,
-        representation dict column -> Polynomial) with
-        v = sum_j rep[j] * column_j + remainder modulo the syzygy choices."""
-        work = {(r, e): c for (r, e), c in v.items()}
-        rem = self._engine.reduce_full(work)
-        main = {}
-        repc: dict = {}
-        for (r, e), c in rem.items():
-            if r < self.rank:
-                main[(r, e)] = c
-            else:
-                repc.setdefault(r - self.rank, {})[e] = -c % self.ring.field.p
-        rep = {j: self.ring.from_dict(d) for j, d in repc.items()}
-        return main, rep
-
 
 def module_syzygies(ring: PolyRing, columns, rank: int):
     """Generators of the syzygy module of the given columns of S^rank."""

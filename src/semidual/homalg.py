@@ -28,6 +28,7 @@ from .fpmod import (
     ModuleHom,
     RingMatrix,
     annihilator,
+    block_matrix,
     cokernel,
     free_module,
     homology_at,
@@ -231,23 +232,13 @@ def _hom_into(N: FPModule, dmat: RingMatrix, p_prev=None) -> ModuleHom:
     """Hom(d, N) for a boundary d between free modules: the block matrix
     whose (column j, row r) block is multiplication by d[r][j].  p_prev,
     when given, is the already built power of N the map starts from."""
-    R = N.ring
-    amb = R.ambient
     if p_prev is None:
         p_prev = power_with_twists(N, dmat.row_degrees)
     p_next = power_with_twists(N, dmat.col_degrees)
     nN = N.ngens
-    z = amb.zero()
-    rows = []
-    for j in range(dmat.ncols):
-        for a in range(nN):
-            row = []
-            for r in range(dmat.nrows):
-                f = dmat.entries[r][j]
-                for b in range(nN):
-                    row.append(f if a == b else z)
-            rows.append(row)
-    mat = RingMatrix(R, rows, p_next.gen_degrees, p_prev.gen_degrees)
+    mat = block_matrix(N.ring, [(v, nN, b) for v in dmat.row_vecs()
+                                for b in range(nN)],
+                       p_next.gen_degrees, p_prev.gen_degrees)
     return ModuleHom(p_prev, p_next, mat)
 
 
@@ -349,17 +340,14 @@ def koszul_boundary(M: FPModule, i: int) -> ModuleHom:
     wsum = lambda s: sum(amb.weights[j] for j in s)
     src = power_with_twists(M, [-wsum(s) for s in subsets])
     tgt = power_with_twists(M, [-wsum(s) for s in prev])
+    var = [amb.variable(j).terms[0][0] for j in range(n)]
+    # the boundary on the free Koszul complex, then (x) 1_M
+    cols = [{(prev_index[s[:pos] + s[pos + 1:]], var[j]):
+             1 if pos % 2 == 0 else -1 for pos, j in enumerate(s)}
+            for s in subsets]
     nM = M.ngens
-    z = amb.zero()
-    rows = [[z] * (len(subsets) * nM) for _ in range(len(prev) * nM)]
-    for col_block, s in enumerate(subsets):
-        for pos, j in enumerate(s):
-            rest = s[:pos] + s[pos + 1:]
-            row_block = prev_index[rest]
-            f = amb.variable(j) if pos % 2 == 0 else -amb.variable(j)
-            for a in range(nM):
-                rows[row_block * nM + a][col_block * nM + a] = f
-    mat = RingMatrix(R, rows, tgt.gen_degrees, src.gen_degrees)
+    mat = block_matrix(R, [(v, nM, a) for v in cols for a in range(nM)],
+                       tgt.gen_degrees, src.gen_degrees)
     return ModuleHom(src, tgt, mat)
 
 
@@ -444,7 +432,7 @@ def regular_sequence_search(M: FPModule, degree_bound: int = 4,
 def base_change_matrix(mat: RingMatrix, R2: GradedRing) -> RingMatrix:
     if R2.ambient != mat.ring.ambient:
         raise ValueError("base change must keep the ambient ring")
-    return RingMatrix(R2, mat.entries, mat.row_degrees, mat.col_degrees)
+    return RingMatrix(R2, mat.cols, mat.row_degrees, mat.col_degrees)
 
 
 def base_change_module(M: FPModule, R2: GradedRing) -> FPModule:

@@ -3,7 +3,7 @@ and solving.  Matrices are lists of row lists of ints in [0, p)."""
 
 from __future__ import annotations
 
-__all__ = ["row_reduce", "matrix_rank", "nullspace", "solve", "is_invertible"]
+__all__ = ["row_reduce", "matrix_rank", "nullspace", "is_invertible"]
 
 
 def row_reduce(rows, p):
@@ -57,21 +57,6 @@ def nullspace(rows, p):
             vec[c] = -rref[r][f] % p
         basis.append(vec)
     return basis
-
-
-def solve(rows, rhs, p):
-    """One solution x of rows @ x = rhs, or None if inconsistent."""
-    if not rows:
-        return [] if not any(rhs) else None
-    ncols = len(rows[0])
-    aug = [list(r) + [b % p] for r, b in zip(rows, rhs)]
-    rref, pivots = row_reduce(aug, p)
-    if ncols in pivots:
-        return None
-    x = [0] * ncols
-    for r, c in enumerate(pivots):
-        x[c] = rref[r][ncols]
-    return x
 
 
 def is_invertible(rows, p) -> bool:

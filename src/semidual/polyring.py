@@ -19,7 +19,6 @@ __all__ = [
     "PolyRing",
     "Polynomial",
     "PolyParseError",
-    "poly_arith",
     "leading_term",
     "hilbert_numerator",
     "parse_polynomial",
@@ -456,17 +455,6 @@ class Polynomial:
 
 # ---------------------------------------------------------------------------
 # Convenience wrappers.
-
-def poly_arith(a: Polynomial, b: Polynomial, op: str) -> Polynomial:
-    """Ring arithmetic dispatch: op in {'+', '-', '*'}."""
-    if op == "+":
-        return a + b
-    if op == "-":
-        return a - b
-    if op == "*":
-        return a * b
-    raise ValueError(f"unknown operation {op!r}")
-
 
 def leading_term(f: Polynomial, order: MonomialOrder | None = None):
     """(coefficient, monomial) leading f under `order` (ring order if None)."""

@@ -26,6 +26,7 @@ from .fpmod import (
     ModuleHom,
     RingMatrix,
     annihilator,
+    block_matrix,
     free_module,
     hom_is_isomorphism,
     homology_is_zero,
@@ -160,7 +161,7 @@ def _first_generator_witness(E: FPModule) -> str:
     E's own presentation."""
     Em, _, inj = E.minimal()
     d = Em.gen_degrees[0]
-    col = [str(inj.matrix.entries[i][0]) for i in range(inj.matrix.nrows)]
+    col = [str(f) for f in inj.matrix.column(0)]
     return f"generator of degree {d} with coordinates [{', '.join(col)}]"
 
 
@@ -218,21 +219,12 @@ def power_scalar_hom(C: FPModule, tmat: RingMatrix) -> ModuleHom:
     Copy j of the source is C twisted so that its generators sit at
     degree col_degrees[j] above C's own; likewise for the target rows,
     which makes the block matrix degree-correct whenever tmat is."""
-    R = C.ring
     src = power_with_twists(C, [-d for d in tmat.col_degrees])
     tgt = power_with_twists(C, [-d for d in tmat.row_degrees])
     nC = C.ngens
-    z = R.ambient.zero()
-    rows = []
-    for r in range(tmat.nrows):
-        for a in range(nC):
-            row = []
-            for j in range(tmat.ncols):
-                f = tmat.entries[r][j]
-                for b in range(nC):
-                    row.append(f if a == b else z)
-            rows.append(row)
-    mat = RingMatrix(R, rows, tgt.gen_degrees, src.gen_degrees)
+    mat = block_matrix(C.ring, [(v, nC, b) for v in tmat.cols
+                                for b in range(nC)],
+                       tgt.gen_degrees, src.gen_degrees)
     return ModuleHom(src, tgt, mat)
 
 
@@ -261,7 +253,7 @@ def split_surjection(T: RingMatrix, C=None):
     amb = R.ambient
     p_char = R.field.p
     q, n = T.nrows, T.ncols
-    scalar = [[f.constant_coefficient() for f in row] for row in T.entries]
+    scalar = T.constant_part()
     if q > n or (q and matrix_rank(scalar, p_char) < q):
         raise ValueError(
             f"not surjective: the constant part of the {q}x{n} matrix has "
@@ -341,13 +333,14 @@ def split_surjection(T: RingMatrix, C=None):
 
     rdeg = tuple(rdeg)
     cdeg = tuple(cdeg)
-    Lm = RingMatrix(R, L, rdeg, T.row_degrees)
-    Km = RingMatrix(R, K, T.col_degrees, cdeg)
-    Kinvm = RingMatrix(R, Kinv, cdeg, T.col_degrees)
-    S = RingMatrix(R, [row[:q] for row in K], T.col_degrees,
-                   cdeg[:q]).mul(Lm)
-    U = RingMatrix(R, [row[q:] for row in K], T.col_degrees, cdeg[q:])
-    V = RingMatrix(R, Kinv[q:], cdeg[q:], T.col_degrees)
+    Lm = RingMatrix.from_rows(R, L, rdeg, T.row_degrees)
+    Km = RingMatrix.from_rows(R, K, T.col_degrees, cdeg)
+    Kinvm = RingMatrix.from_rows(R, Kinv, cdeg, T.col_degrees)
+    S = RingMatrix.from_rows(R, [row[:q] for row in K], T.col_degrees,
+                             cdeg[:q]).mul(Lm)
+    U = RingMatrix.from_rows(R, [row[q:] for row in K], T.col_degrees,
+                             cdeg[q:])
+    V = RingMatrix.from_rows(R, Kinv[q:], cdeg[q:], T.col_degrees)
 
     e = S.mul(T)
     identities = {
@@ -419,15 +412,10 @@ def evaluation_hom(C: FPModule, Y: FPModule, H=None) -> ModuleHom:
     if H is None:
         H = HomModule(C, Y)
     Tm = tensor_product(C, H.module)
-    R = C.ring
-    nH = H.module.ngens
-    gens_h = [H.generator_hom(t) for t in range(nH)]
-    entries = [
-        [gens_h[t].matrix.entries[b][i]
-         for i in range(C.ngens) for t in range(nH)]
-        for b in range(Y.ngens)
-    ]
-    mat = RingMatrix(R, entries, Y.gen_degrees, Tm.gen_degrees)
+    gens_h = [H.generator_hom(t).matrix for t in range(H.module.ngens)]
+    # generator (i, t) of the tensor product goes to psi_t(e_i)
+    cols = [g.cols[i] for i in range(C.ngens) for g in gens_h]
+    mat = RingMatrix(C.ring, cols, Y.gen_degrees, Tm.gen_degrees)
     return ModuleHom(Tm, Y, mat)
 
 
@@ -565,25 +553,17 @@ def c_resolution(C: FPModule, Y: FPModule, max_length=None) -> CResolution:
     cplx = ChainComplex(powers, cmaps)
 
     # Augmentation: generator t of the minimal Hom presentation carries a
-    # homomorphism C -> Y; its column block is that map's matrix.
-    inj = h.minimal()[2]
-    gens_h = [H.generator_hom(s) for s in range(h.ngens)]
-    nC = C.ngens
-    amb = R.ambient
-    entries = []
-    for b in range(Y.ngens):
-        row = []
-        for t in range(hm.ngens):
-            for a in range(nC):
-                acc = amb.zero()
-                for s in range(h.ngens):
-                    f = inj.matrix.entries[s][t]
-                    if not f.is_zero:
-                        acc = acc + f * gens_h[s].matrix.entries[b][a]
-                row.append(R.nf(acc))
-        entries.append(row)
+    # homomorphism C -> Y; its column block is that map's matrix.  With
+    # psi_s the map of generator s of h, column (t, a) is
+    # sum_s inj[s][t] * psi_s(e_a).
+    inj = h.minimal()[2].matrix
+    gens_h = [H.generator_hom(s).matrix for s in range(h.ngens)]
+    at = [RingMatrix(R, [g.cols[a] for g in gens_h], Y.gen_degrees,
+                     [g.col_degrees[a] for g in gens_h])
+          for a in range(C.ngens)]
+    cols = [at[a].apply_vec(v) for v in inj.cols for a in range(C.ngens)]
     aug = ModuleHom(powers[0], Y, RingMatrix(
-        R, entries, Y.gen_degrees, powers[0].gen_degrees))
+        R, cols, Y.gen_degrees, powers[0].gen_degrees))
 
     checks = {"ring_side": {}, "module_side": {}}
 
@@ -684,7 +664,7 @@ def reduce_by_nzd(ring: GradedRing, C: FPModule, x: Polynomial,
     if not K.is_zero_module():
         Km, _, kinj = K.minimal()
         col = incl.compose(kinj).matrix
-        witness = [str(col.entries[i][0]) for i in range(col.nrows)]
+        witness = [str(f) for f in col.column(0)]
         raise ValueError(
             f"{x} is a zerodivisor on the module: it kills the element "
             f"[{', '.join(witness)}]")
@@ -709,7 +689,7 @@ class ABReport:
     __slots__ = (
         "ring", "C", "Y", "certificate", "bass", "resolution", "c_dim",
         "depth_C", "depth_Y", "pd_hom", "identity_holds", "pd_matches",
-        "reduction", "final_depth_zero", "corollaries", "ext_bound",
+        "reduction", "final_depth_zero", "ext_bound",
     )
 
     def __init__(self, **kw):
@@ -832,14 +812,12 @@ def verify_ab(C: FPModule, Y: FPModule, ext_bound=None, pd_bound=None,
             f"replay: expected depth 0 after the full sequence, got "
             f"{final_depth}")
 
-    corollaries = corollary_suite(C, Y, sample_nzd=False, seed=seed)
-
     return ABReport(
         ring=R, C=C, Y=Y, certificate=cert, bass=bass,
         resolution=resolution, c_dim=cdim, depth_C=depth_C,
         depth_Y=depth_Y, pd_hom=pd_hom, identity_holds=identity_holds,
         pd_matches=pd_matches, reduction=steps, final_depth_zero=True,
-        corollaries=corollaries, ext_bound=ext_bound)
+        ext_bound=ext_bound)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import pytest
 
+from semidual import fpmod
 from semidual.polyring import PolyRing, PrimeField
 from semidual.groebner import GradedRing, ModuleGB
 from semidual.fpmod import (
@@ -11,6 +12,7 @@ from semidual.fpmod import (
     RingMatrix,
     annihilator,
     cokernel,
+    direct_sum,
     free_module,
     homology_at,
     homology_is_zero,
@@ -154,7 +156,8 @@ def test_matrix_entries_and_seeded_basis_are_reduced(omega):
     x, y, z = (S.variable(i) for i in range(3))
     yy = y * y
     assert R.nf(yy) != yy
-    M = RingMatrix(R, [[yy, S.zero()], [S.zero(), x]], (0, 0), (8, 3))
+    M = RingMatrix.from_rows(R, [[yy, S.zero()], [S.zero(), x]], (0, 0),
+                             (8, 3))
     assert M.entries[0][0] == R.nf(yy)
     assert M.entries[0][1].is_zero and M.entries[1][0].is_zero
     assert M.entries[1][1] == x
@@ -181,3 +184,113 @@ def test_summand_analysis_idempotent(plane):
         Ffree, Ffree, [[S.one(), S.zero()], [S.zero(), S.zero()]])
     rank, corank, wit = summand_analysis(e)
     assert (rank, corank) == (1, 1)
+
+
+# ---------------------------------------------------------------------------
+# Sparse storage and the block builder, against dense matrices by hand.
+
+def dense(mat):
+    return [list(row) for row in mat.entries]
+
+
+def reduced(R, rows):
+    return [[R.nf(f) for f in row] for row in rows]
+
+
+def test_direct_sum_relations_are_block_diagonal(plane, omega):
+    S, R = plane
+    x, y = S.variable(0), S.variable(1)
+    z0 = S.zero()
+    k = residue_field_module(R)
+    D = direct_sum([k, k.twist(1)])
+    assert D.gen_degrees == (0, -1)
+    assert D.relations.col_degrees == (1, 1, 0, 0)
+    assert dense(D.relations) == [[x, y, z0, z0], [z0, z0, x, y]]
+    S3, R3, W = omega
+    x, y, z = (S3.variable(i) for i in range(3))
+    z0 = S3.zero()
+    D = direct_sum([W, W])
+    assert dense(D.relations) == reduced(R3, [
+        [z, y, -x, z0, z0, z0],
+        [x * x, z, -y, z0, z0, z0],
+        [z0, z0, z0, z, y, -x],
+        [z0, z0, z0, x * x, z, -y]])
+
+
+def test_tensor_product_relation_blocks(plane, omega):
+    S, R = plane
+    x, y = S.variable(0), S.variable(1)
+    k = residue_field_module(R)
+    assert dense(tensor_product(k, k).relations) == [[x, y, x, y]]
+    S3, R3, W = omega
+    x, y, z = (S3.variable(i) for i in range(3))
+    z0 = S3.zero()
+    # relations of W (x) 1_W, then 1_W (x) relations of W
+    T = tensor_product(W, W)
+    assert T.gen_degrees == (2, 1, 1, 0)
+    assert T.relations.col_degrees == (7, 6, 6, 5, 5, 4) * 2
+    assert dense(T.relations) == reduced(R3, [
+        [z, z0, y, z0, -x, z0, z, z0, y, z0, -x, z0],
+        [z0, z, z0, y, z0, -x, x * x, z0, z, z0, -y, z0],
+        [x * x, z0, z, z0, -y, z0, z0, z, z0, y, z0, -x],
+        [z0, x * x, z0, z, z0, -y, z0, x * x, z0, z, z0, -y]])
+
+
+def test_hom_module_composes_with_each_relation(monkeypatch, plane, omega):
+    seen = []
+    real = fpmod.kernel
+    monkeypatch.setattr(fpmod, "kernel",
+                        lambda phi: seen.append(phi) or real(phi))
+    S, R = plane
+    x, y = S.variable(0), S.variable(1)
+    k = residue_field_module(R)
+    HomModule(k, k)
+    assert dense(seen[-1].matrix) == [[x], [y]]
+    S3, R3, W = omega
+    x, y, z = (S3.variable(i) for i in range(3))
+    z0 = S3.zero()
+    HomModule(W, W)
+    # the transposed relation matrix of W, (x) 1_W
+    assert dense(seen[-1].matrix) == reduced(R3, [
+        [z, z0, x * x, z0],
+        [z0, z, z0, x * x],
+        [y, z0, z, z0],
+        [z0, y, z0, z],
+        [-x, z0, -y, z0],
+        [z0, -x, z0, -y]])
+
+
+def test_matrix_equality_and_hash_do_not_depend_on_the_build(omega):
+    S, R, W = omega
+    x, y, z = (S.variable(i) for i in range(3))
+    yy = y * y      # reduces to x*z
+    by_cols = RingMatrix.from_columns(
+        R, [(z, x * x), (y, z), (-x, -y), (S.zero(), yy)], (1, 0),
+        [6, 5, 4, 8])
+    by_rows = RingMatrix.from_rows(
+        R, [[z, y, -x, S.zero()], [x * x, z, -y, yy]], (1, 0), (6, 5, 4, 8))
+
+    def vec(*entries):  # rows listed last first, terms as given
+        return {(i, e): c for i, f in reversed(entries) for e, c in f.terms}
+
+    sparse = RingMatrix(
+        R, [vec((0, z), (1, x * x)), vec((0, y), (1, z)),
+            vec((0, -x), (1, -y)), vec((1, x * z))],
+        (1, 0), (6, 5, 4, 8))
+    assert by_cols == by_rows == sparse
+    assert hash(by_cols) == hash(by_rows) == hash(sparse)
+    assert by_cols == W.relations.stack_cols(
+        RingMatrix.from_columns(R, [(S.zero(), x * z)], (1, 0), [8]))
+    assert by_cols.entries[1][3] == x * z
+
+
+def test_wrong_degree_entry_is_rejected(omega):
+    S, R, W = omega
+    x = S.variable(0)
+    msg = r"entry \(1,0\) = x has degree 3, expected 4"
+    with pytest.raises(ValueError, match=msg):
+        RingMatrix.from_rows(R, [[S.zero()], [x]], (1, 0), (4,))
+    with pytest.raises(ValueError, match=msg):
+        RingMatrix(R, [{(1, (1, 0, 0)): 1}], (1, 0), (4,))
+    with pytest.raises(ValueError, match=msg):
+        fpmod.block_matrix(R, [({(0, (1, 0, 0)): 1}, 1, 1)], (1, 0), (4,))

@@ -36,7 +36,7 @@ from semidual.homalg import (
     regular_sequence_search,
     resolution_complex,
 )
-from semidual.semidual import check_semidualizing
+from semidual.semidual import check_semidualizing, power_scalar_hom
 from semidual.session import parse_session
 
 from conftest import make_hypersurface, make_poly_xy, make_semigroup
@@ -299,3 +299,41 @@ def test_depth_witness_rejects_a_depth_too_low(monkeypatch):
         homalg, "depth", lambda N: real(N) - 1 if N is M else real(N))
     with pytest.raises(RuntimeError, match="leaves depth 1"):
         depth_with_witness(M)
+
+
+def test_block_maps_match_dense_matrices(plane, curve):
+    """Hom(d, N), the Koszul boundary and a scalar map on copies of a
+    module, each against T (x) 1 written out by hand."""
+    dense = lambda m: [list(row) for row in m.entries]
+    S, R = plane
+    x, y = S.variable(0), S.variable(1)
+    z0 = S.zero()
+    d = RingMatrix.from_rows(R, [[x, y]], (0,), (1, 1))
+    t = homalg._hom_into(free_module(R, (0, 0)), d)
+    assert dense(t.matrix) == [[x, z0], [z0, x], [y, z0], [z0, y]]
+    k = residue_field_module(R)
+    assert dense(homalg.koszul_boundary(k, 2).matrix) == [[-y], [x]]
+    S3, R3, W = curve
+    x, y, z = (S3.variable(i) for i in range(3))
+    z0 = S3.zero()
+    t = homalg._hom_into(W, W.relations)
+    assert dense(t.matrix) == [[R3.nf(f) for f in row] for row in [
+        [z, z0, x * x, z0],
+        [z0, z, z0, x * x],
+        [y, z0, z, z0],
+        [z0, y, z0, z],
+        [-x, z0, -y, z0],
+        [z0, -x, z0, -y]]]
+    assert dense(homalg.koszul_boundary(W, 2).matrix) == [
+        [-y, z0, -z, z0, z0, z0],
+        [z0, -y, z0, -z, z0, z0],
+        [x, z0, z0, z0, -z, z0],
+        [z0, x, z0, z0, z0, -z],
+        [z0, z0, x, z0, y, z0],
+        [z0, z0, z0, x, z0, y]]
+    tmat = RingMatrix.from_rows(R3, [[x, y], [z0, x]], (0, 1), (3, 4))
+    assert dense(power_scalar_hom(W, tmat).matrix) == [
+        [x, z0, y, z0],
+        [z0, x, z0, y],
+        [z0, z0, x, z0],
+        [z0, z0, z0, x]]
