@@ -30,6 +30,7 @@ from .groebner import (
 from .linalg import is_invertible, matrix_rank, nullspace
 
 __all__ = [
+    "TruncationError",
     "RingMatrix",
     "block_matrix",
     "FPModule",
@@ -67,6 +68,16 @@ __all__ = [
     "inflation_vectors",
     "min_generate_columns",
 ]
+
+
+class TruncationError(RuntimeError):
+    """A computation hit its configured resource bound before reaching a
+    certified answer.  Callers must treat this as 'unknown', never as a
+    verified result."""
+
+    def __init__(self, message, bound=None):
+        super().__init__(message)
+        self.bound = bound
 
 
 # ---------------------------------------------------------------------------
@@ -1200,7 +1211,9 @@ def is_isomorphic(M: FPModule, N: FPModule, seed: int = 0):
     """(flag, witness).  Minimal Betti degrees must match; a degree-zero map
     with invertible scalar part is then surjective by the graded Nakayama
     argument, and injectivity is certified by an exact kernel computation.
-    The scalar-part search is randomized but seeded, so runs reproduce."""
+    The scalar-part search is randomized but seeded, so runs reproduce; if
+    none of its candidates works it raises TruncationError rather than
+    claim the modules are not isomorphic."""
     if M.ring != N.ring:
         return False, None
     Mm, projM, injM = M.minimal()
@@ -1214,9 +1227,9 @@ def is_isomorphic(M: FPModule, N: FPModule, seed: int = 0):
         return False, None
     p = M.ring.field.p
     rng = random.Random(seed)
-    candidates = []
-    for s in range(min(len(basis), 8)):
-        candidates.append([1 if t == s else 0 for t in range(len(basis))])
+    units = min(len(basis), 8)
+    candidates = [[int(t == s) for t in range(len(basis))]
+                  for s in range(units)]
     for _ in range(64):
         candidates.append([rng.randrange(p) for _ in range(len(basis))])
     amb = M.ring.ambient
@@ -1244,4 +1257,7 @@ def is_isomorphic(M: FPModule, N: FPModule, seed: int = 0):
             return False, None
         witness = injN.compose(phi).compose(projM)
         return True, witness
-    return False, None
+    raise TruncationError(
+        f"isomorphism search exhausted its {len(candidates)} candidate "
+        f"degree-zero maps ({units} unit, 64 random) without "
+        f"an invertible one", bound=len(candidates))

@@ -97,7 +97,7 @@ class _Engine:
         self.basis = []   # monic vectors
         self.leads = []   # (row, exps)
         self.by_row = {}  # row -> list of (lead exps, basis index)
-        self.pairs = {}   # (i, j) -> lcm exps, alive pairs
+        self.pairs = {}   # row -> {(i, j): lcm exps}, alive pairs
         self.heap = []    # (deg lcm, okey lcm, i, j) lazy-deleted
 
     # -- reduction ----------------------------------------------------------
@@ -131,8 +131,8 @@ class _Engine:
 
     # -- basis growth -------------------------------------------------------
 
-    def _push_pair(self, i, j, lcm):
-        self.pairs[(i, j)] = lcm
+    def _push_pair(self, row, i, j, lcm):
+        self.pairs.setdefault(row, {})[(i, j)] = lcm
         heapq.heappush(self.heap, (mono_degree(lcm), self.okey(lcm), i, j))
 
     def _append(self, v: dict):
@@ -144,43 +144,33 @@ class _Engine:
         cand = {}
         for lexps, i in self.by_row.get(row, ()):
             cand[i] = mono_lcm(lexps, exps)
+        order = sorted(cand.items())
         keep = []
-        for i in sorted(cand):
-            li = cand[i]
-            drop = False
-            for j in sorted(cand):
-                if j == i:
-                    continue
-                lj = cand[j]
-                if lj == li:
-                    if j < i:
-                        drop = True
-                        break
-                elif mono_divides(lj, li):
-                    drop = True
+        for i, li in order:
+            for j, lj in order:
+                if j != i and mono_divides(lj, li) and (lj != li or j < i):
                     break
-            if not drop:
+            else:
                 keep.append(i)
         if self.use_product:
             keep = [
                 i for i in keep
                 if cand[i] != mono_mul(self.leads[i][1], exps)
             ]
-        # prune alive older pairs via the new lead
-        for (i, j), l in list(self.pairs.items()):
-            if self.leads[i][0] != row:
-                continue
+        # prune alive older pairs via the new lead; pairs never cross rows
+        alive = self.pairs.get(row, {})
+        for (i, j), l in list(alive.items()):
             if (
                 mono_divides(exps, l)
                 and mono_lcm(self.leads[i][1], exps) != l
                 and mono_lcm(self.leads[j][1], exps) != l
             ):
-                del self.pairs[(i, j)]
+                del alive[(i, j)]
         self.basis.append(v)
         self.leads.append((row, exps))
         self.by_row.setdefault(row, []).append((exps, t))
         for i in keep:
-            self._push_pair(i, t, cand[i])
+            self._push_pair(row, i, t, cand[i])
 
     def seed_reduced(self, vectors):
         """Install an already-reduced basis without queueing its internal
@@ -206,7 +196,7 @@ class _Engine:
     def saturate(self):
         while self.heap:
             _, _, i, j = heapq.heappop(self.heap)
-            lcm = self.pairs.pop((i, j), None)
+            lcm = self.pairs[self.leads[i][0]].pop((i, j), None)
             if lcm is None:
                 continue
             gi, gj = self.basis[i], self.basis[j]
@@ -243,7 +233,7 @@ class _Engine:
 
         A minimal lead never divides a strictly smaller monomial, so with all
         kept elements loaded into one engine it is enough to normal-form each
-        element's tail.
+        element's tail.  The output comes in increasing lead order.
         """
         order = sorted(
             range(len(self.basis)),
@@ -274,10 +264,6 @@ class _Engine:
             h = shared.reduce_full(tail)
             h[lead] = 1  # basis vectors are monic
             final.append(h)
-        final.sort(key=lambda v: (
-            -vec_lead(v, self.okey)[0][0],
-            self.okey(vec_lead(v, self.okey)[0][1]),
-        ))
         return final
 
 
@@ -380,7 +366,10 @@ class TrackedGB:
         for v in self.basis:
             (row, _), _ = vec_lead(v, self.ring.order.key)
             if row >= self.rank:
-                assert all(r >= self.rank for (r, _) in v)
+                if any(r < self.rank for (r, _) in v):
+                    raise RuntimeError(
+                        f"syzygy basis element led by tracking row {row} "
+                        f"has a term in the main block (rank {self.rank})")
                 out.append({(r - self.rank, e): c for (r, e), c in v.items()})
         return out
 

@@ -27,6 +27,7 @@ from .fpmod import (
     FPModule,
     ModuleHom,
     RingMatrix,
+    TruncationError,
     annihilator,
     block_matrix,
     cokernel,
@@ -69,16 +70,6 @@ __all__ = [
     "hilbert_coefficients",
     "monomial_quotient_numerator",
 ]
-
-
-class TruncationError(RuntimeError):
-    """A computation hit its configured resource bound before reaching a
-    certified answer.  Callers must treat this as 'unknown', never as a
-    verified result."""
-
-    def __init__(self, message, bound=None):
-        super().__init__(message)
-        self.bound = bound
 
 
 # ---------------------------------------------------------------------------

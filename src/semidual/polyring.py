@@ -12,6 +12,7 @@ total degree.
 from __future__ import annotations
 
 import itertools
+from operator import add, le, neg, sub
 
 __all__ = [
     "PrimeField",
@@ -106,21 +107,21 @@ class PrimeField:
 # Monomials: bare exponent tuples.
 
 def mono_mul(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def mono_div(a, b):
     # caller guarantees divisibility
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def mono_divides(a, b):
     """True if monomial a divides monomial b."""
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def mono_lcm(a, b):
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def mono_degree(a) -> int:
@@ -149,7 +150,7 @@ class MonomialOrder:
     def key(self, exps):
         e = exps if self.perm is None else tuple(exps[i] for i in self.perm)
         if self.kind == "degrevlex":
-            return (sum(e), tuple(-x for x in reversed(e)))
+            return (sum(e), tuple(map(neg, reversed(e))))
         if self.kind == "deglex":
             return (sum(e), e)
         return e

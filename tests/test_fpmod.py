@@ -10,6 +10,7 @@ from semidual.fpmod import (
     HomModule,
     ModuleHom,
     RingMatrix,
+    TruncationError,
     annihilator,
     cokernel,
     direct_sum,
@@ -92,6 +93,21 @@ def test_isomorphism_detection(plane):
     assert ok and wit.well_defined()
     assert not is_isomorphic(free_module(R, (0,)), k)[0]
     assert is_isomorphic(free_module(R, (0, 1)), free_module(R, (1, 0)))[0]
+
+
+def test_isomorphism_search_that_runs_out_is_a_resource_bound(
+        monkeypatch, plane):
+    S, R = plane
+    M = free_module(R, (0, 1))
+    N = free_module(R, (1, 0))
+    monkeypatch.setattr(fpmod, "is_invertible", lambda mat, p: False)
+    with pytest.raises(TruncationError, match="exhausted its") as err:
+        is_isomorphic(M, N)
+    # Hom_0(M, N) has dimension 4: the two identities, x and y
+    assert err.value.bound == 4 + 64
+    assert "68 candidate degree-zero maps (4 unit, 64 random)" in str(err.value)
+    # the proven negatives need no search and still answer False
+    assert is_isomorphic(free_module(R, (0,)), N) == (False, None)
 
 
 def test_koszul_complex_exactness(plane):

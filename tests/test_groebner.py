@@ -1,27 +1,38 @@
 """Groebner layer: reduced bases, normal forms, quotient ring queries."""
 
+import itertools
+import random
+
 import pytest
 import sympy
 
-from semidual.polyring import PolyRing, PrimeField
+from semidual.polyring import PolyRing, PrimeField, mono_div, mono_lcm, mono_mul
 from semidual.groebner import (
     GradedRing,
+    IncrementalSpan,
+    ModuleGB,
+    RelativeTracker,
+    TrackedGB,
+    _Engine,
     buchberger,
     ideal_dimension,
+    module_syzygies,
     radical_membership,
+    relative_kernel,
+    vec_lead,
 )
 
 F = PrimeField(101)
 
 
-def _sympy_gb(gens, names):
+def _sympy_gb(gens, names, p=101):
     syms = sympy.symbols(names)
-    basis = sympy.groebner(gens, *syms, modulus=101, order="grevlex")
+    basis = sympy.groebner(gens, *syms, modulus=p, order="grevlex")
     out = set()
     for g in basis.exprs:
-        p = sympy.Poly(g, *syms, modulus=101)
+        poly = sympy.Poly(g, *syms, modulus=p)
         out.add(tuple(sorted(
-            (m, int(c) % 101) for m, c in zip(p.monoms(), p.coeffs()))))
+            (m, int(c) % p) for m, c in zip(poly.monoms(), poly.coeffs()))))
     return out
 
 
@@ -30,24 +41,128 @@ def _our_gb_set(G):
 
 
 def test_buchberger_matches_sympy():
-    S = PolyRing(F, ("x", "y"))
-    x, y = S.variable(0), S.variable(1)
-    cases = [
-        [x * x + y, x * y],
-        [x**3 - y, y**2 - x],
-        [x * x, x * y, y * y],
-        [x + y, x - y],
-    ]
-    sx, sy = sympy.symbols("x y")
+    sx, sy, sz = sympy.symbols("x y z")
     scases = [
         [sx * sx + sy, sx * sy],
         [sx**3 - sy, sy**2 - sx],
         [sx * sx, sx * sy, sy * sy],
         [sx + sy, sx - sy],
+        [sx**2 * sy + 2 * sz**3, sx * sy * sz - sy**3, sx**2 - sy * sz + sz**2],
+        [sx**3 + sy * sz**2 - sx * sz**2, sy**3 - 2 * sx**2 * sz],
     ]
-    for ours, theirs in zip(cases, scases):
-        G = buchberger(ours)
-        assert _our_gb_set(G) == _sympy_gb(theirs, "x y"), ours
+    for p in (2, 3, 101):
+        S = PolyRing(PrimeField(p), ("x", "y", "z"))
+        x, y, z = S.variable(0), S.variable(1), S.variable(2)
+        cases = [
+            [x * x + y, x * y],
+            [x**3 - y, y**2 - x],
+            [x * x, x * y, y * y],
+            [x + y, x - y],
+            [x**2 * y + 2 * z**3, x * y * z - y**3, x**2 - y * z + z**2],
+            [x**3 + y * z**2 - x * z**2, y**3 - 2 * x**2 * z],
+        ]
+        for ours, theirs in zip(cases, scases):
+            G = buchberger(ours)
+            assert _our_gb_set(G) == _sympy_gb(theirs, "x y z", p), (p, ours)
+
+
+# ---------------------------------------------------------------------------
+# The module engine: every saturated basis passes Buchberger's criterion.
+
+def _random_column(rng, ring, rank):
+    """A nonzero vector of S^rank whose entries are homogeneous of one
+    degree, 1 or 2, with a few terms each; graded input keeps every run
+    small."""
+    p = ring.field.p
+    monos = ring.monomials_of_wdeg(rng.randrange(1, 3))
+    while True:
+        v = {}
+        for row in range(rank):
+            for e in rng.sample(monos, rng.randrange(min(3, len(monos) + 1))):
+                v[(row, e)] = rng.randrange(1, p)
+        if v:
+            return v
+
+
+def _combine(coeffs, columns, p):
+    """sum_j coeffs_j * columns_j for coeffs a vector over the columns."""
+    out = {}
+    for (j, e), c in coeffs.items():
+        for (r, f), d in columns[j].items():
+            k = (r, mono_mul(e, f))
+            out[k] = (out.get(k, 0) + c * d) % p
+    return {k: c for k, c in out.items() if c}
+
+
+def _assert_buchberger_criterion(ring, basis):
+    """Every same-row S-vector of the basis reduces to zero against it."""
+    p = ring.field.p
+    okey = ring.order.key
+    eng = _Engine(ring)
+    eng.seed_reduced(basis)
+    leads = [vec_lead(v, okey) for v in basis]
+    for i, j in itertools.combinations(range(len(basis)), 2):
+        ((ri, ei), ci), ((rj, ej), cj) = leads[i], leads[j]
+        if ri != rj:
+            continue
+        lcm = mono_lcm(ei, ej)
+        s = {}
+        for g, e, c, sign in ((basis[i], ei, ci, 1), (basis[j], ej, cj, -1)):
+            shift = mono_div(lcm, e)
+            scale = sign * pow(c, p - 2, p)
+            for (r, f), d in g.items():
+                k = (r, mono_mul(f, shift))
+                s[k] = (s.get(k, 0) + scale * d) % p
+        s = {k: c for k, c in s.items() if c}
+        assert not eng.reduce_full(s), (i, j)
+
+
+@pytest.mark.parametrize("p", [2, 3, 101])
+def test_module_engine_bases_pass_buchberger_criterion(p):
+    """Seeded random multi-row modules through each engine front end.  A
+    pair dropped by mistake leaves a basis that fails the criterion, so
+    this guards the engine's pair bookkeeping."""
+    rng = random.Random(7000 + p)
+    for nvars, rank in ((2, 2), (3, 2), (2, 3), (3, 3)) * 10:
+        ring = PolyRing(PrimeField(p), ("x", "y", "z")[:nvars])
+        cols = [_random_column(rng, ring, rank) for _ in range(rank + 2)]
+        basis = TrackedGB(ring, cols, rank).basis
+        _assert_buchberger_criterion(ring, basis)
+        leads = [vec_lead(v, ring.order.key)[0] for v in basis]
+        assert leads == sorted(leads, key=lambda l: (-l[0],
+                                                     ring.order.key(l[1])))
+        for s in module_syzygies(ring, cols, rank):
+            assert not _combine(s, cols, p)
+
+        seed = ModuleGB(ring, [_random_column(rng, ring, rank)
+                               for _ in range(2)], rank).basis
+        tracker = RelativeTracker(ring, cols, seed, rank)
+        _assert_buchberger_criterion(ring, tracker._eng.basis)
+        seed_span = ModuleGB.from_reduced(ring, seed, rank)
+        kernel = relative_kernel(ring, cols, seed, rank)
+        assert kernel
+        for a in kernel:
+            assert seed_span.contains(_combine(a, cols, p))
+
+        span = IncrementalSpan(ring, cols[:2], reduced_seed=seed)
+        for v in cols[2:]:
+            span.add(v)
+        _assert_buchberger_criterion(ring, span._eng.basis)
+        assert all(span.contains(v) for v in cols + seed)
+
+
+def test_tracked_syzygy_with_main_block_term_is_an_internal_fault(monkeypatch):
+    """Position-over-term leads put a syzygy's lead in a tracking row only
+    when it has no main-block term; a broken lead must not pass silently."""
+    S = PolyRing(F, ("x", "y"))
+    zero = S._zero_exps
+    tracked = object.__new__(TrackedGB)
+    tracked.ring, tracked.rank, tracked.ncols = S, 1, 1
+    tracked.basis = [{(0, (1, 0)): 1, (1, zero): 1}]
+    monkeypatch.setattr("semidual.groebner.vec_lead",
+                        lambda v, okey: ((1, zero), 1))
+    with pytest.raises(RuntimeError, match="main block"):
+        tracked.syzygies()
 
 
 def test_semigroup_reduced_basis_frozen():

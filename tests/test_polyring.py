@@ -1,11 +1,13 @@
 """Base polynomial layer: field arithmetic, grading, orders, parsing."""
 
+import itertools
 import random
 
 import pytest
 import sympy
 
 from semidual.polyring import (
+    MonomialOrder,
     PolyParseError,
     PolyRing,
     Polynomial,
@@ -15,6 +17,10 @@ from semidual.polyring import (
     intpoly_str,
     is_prime,
     leading_term,
+    mono_div,
+    mono_divides,
+    mono_lcm,
+    mono_mul,
     parse_polynomial,
 )
 
@@ -111,6 +117,55 @@ def test_order_is_degree_compatible():
     assert S.wdeg(exps) == 3
     lt = leading_term(f)
     assert lt == (c, exps)
+
+
+# Every exponent tuple of degree at most 4 in 3 variables.
+MONOMIALS = [e for e in itertools.product(range(5), repeat=3) if sum(e) <= 4]
+
+
+def _greater_by_definition(kind, perm, a, b):
+    """a > b in the order, from the textbook definition: compare degrees
+    first (not for lex); then lex wins on the first differing variable and
+    degrevlex on the last one having the smaller exponent."""
+    if perm is not None:
+        a = tuple(a[i] for i in perm)
+        b = tuple(b[i] for i in perm)
+    if kind != "lex" and sum(a) != sum(b):
+        return sum(a) > sum(b)
+    diff = [x - y for x, y in zip(a, b) if x != y]
+    if not diff:
+        return False
+    if kind == "degrevlex":
+        return diff[-1] < 0
+    return diff[0] > 0
+
+
+@pytest.mark.parametrize("kind", MonomialOrder.KINDS)
+@pytest.mark.parametrize("perm", [None, (2, 0, 1)])
+def test_order_key_matches_written_out_formulas(kind, perm):
+    order = MonomialOrder(kind, perm)
+    for a in MONOMIALS:
+        e = a if perm is None else tuple(a[i] for i in perm)
+        want = {
+            "degrevlex": (sum(e), tuple(-x for x in reversed(e))),
+            "deglex": (sum(e), e),
+            "lex": e,
+        }[kind]
+        assert order.key(a) == want, a
+        for b in MONOMIALS:
+            assert ((order.key(a) > order.key(b))
+                    == _greater_by_definition(kind, perm, a, b)), (a, b)
+
+
+def test_monomial_kernels_match_zip_references():
+    for a in MONOMIALS:
+        for b in MONOMIALS:
+            assert mono_mul(a, b) == tuple(x + y for x, y in zip(a, b))
+            assert mono_lcm(a, b) == tuple(max(x, y) for x, y in zip(a, b))
+            divides = all(x <= y for x, y in zip(b, a))
+            assert mono_divides(b, a) is divides, (b, a)
+            if divides:
+                assert mono_div(a, b) == tuple(x - y for x, y in zip(a, b))
 
 
 def test_constant_coefficient():
