@@ -27,7 +27,7 @@ from .groebner import (
     ideal_intersection,
     relative_kernel,
 )
-from .linalg import is_invertible, matrix_rank, nullspace
+from .linalg import is_invertible, nullspace, row_reduce
 
 __all__ = [
     "TruncationError",
@@ -45,6 +45,7 @@ __all__ = [
     "kernel_generators",
     "syzygies",
     "minimal_generators",
+    "unit_pivots",
     "invert_unit_matrix",
     "summand_analysis",
     "cokernel",
@@ -425,6 +426,50 @@ def block_matrix(ring: GradedRing, placed, row_degrees,
     return RingMatrix(ring, cols, row_degrees, col_degrees)
 
 
+def unit_pivots(R: GradedRing, rows):
+    """Gauss-Jordan elimination on unit pivots by row operations, for the
+    dense rows of a graded matrix over R.
+
+    The next pivot is the first entry with a nonzero constant term,
+    scanning the rows not yet pivoted and then the columns not yet
+    pivoted in input order; such an entry is a nonzero scalar, since the
+    entries are homogeneous.  Its row is scaled to make the pivot 1 and
+    its column is cleared in every other row.  Returns (pivots, W, L):
+    the (row, column) pivots in input indices, the reduced rows W and the
+    row-operation matrix L, with W = L.rows.  Column j of W is the unit
+    vector e_i for each pivot (i, j), and on the rows and columns left
+    unpivoted W holds the Schur complement of the pivots, which has no
+    unit entry."""
+    amb = R.ambient
+    one, zero = amb.one(), amb.zero()
+    W = [list(r) for r in rows]
+    L = [[one if i == j else zero for j in range(len(W))]
+         for i in range(len(W))]
+    free_rows = list(range(len(W)))
+    free_cols = list(range(len(W[0]) if W else 0))
+    pivots = []
+    while True:
+        hit = next(((i, j) for i in free_rows for j in free_cols
+                    if W[i][j].constant_coefficient()), None)
+        if hit is None:
+            return pivots, W, L
+        i, j = hit
+        pivots.append(hit)
+        free_rows.remove(i)
+        free_cols.remove(j)
+        cinv = R.field.inv(W[i][j].constant_coefficient())
+        W[i] = [f * cinv for f in W[i]]
+        L[i] = [f * cinv for f in L[i]]
+        for r, row in enumerate(W):
+            f = row[j]
+            if r == i or f.is_zero:
+                continue
+            W[r] = [a if b.is_zero else R.nf(a - f * b)
+                    for a, b in zip(row, W[i])]
+            L[r] = [a if b.is_zero else R.nf(a - f * b)
+                    for a, b in zip(L[r], L[i])]
+
+
 # ---------------------------------------------------------------------------
 # Modules.
 
@@ -513,71 +558,31 @@ class FPModule:
     def minimal(self):
         """(N, proj, inj): a minimal presentation with mutually inverse
         degree-zero maps to and from self.  Unit entries in the relation
-        matrix are eliminated lowest generator first; the surviving columns
-        are then thinned to a minimal generating set in increasing degree."""
+        matrix are eliminated by unit_pivots, which drops each pivot's
+        generator; the relations left on the surviving generators are then
+        thinned to a minimal generating set in increasing degree."""
         if self._min is not None:
             return self._min
         R = self.ring
-        amb = R.ambient
-        field = R.field
-        gens = list(self.gen_degrees)
-        surviving = list(range(len(gens)))
-        cols = [list(self.relations.column(j))
-                for j in range(self.relations.ncols)]
-        cdegs = list(self.relations.col_degrees)
-        # proj maps original generators into the current ones
-        proj = [[amb.one() if i == j else amb.zero()
-                 for j in range(len(gens))] for i in range(len(gens))]
-        while True:
-            hit = None
-            for i in range(len(gens)):
-                for j, col in enumerate(cols):
-                    if cdegs[j] == gens[i] and col[i]:
-                        hit = (i, j)
-                        break
-                if hit:
-                    break
-            if hit is None:
-                break
-            i, j = hit
-            c = cols[j][i].constant_coefficient()
-            cinv = field.inv(c)
-            pivot = cols[j]
-            for jj, col in enumerate(cols):
-                if jj == j or col[i].is_zero:
-                    continue
-                f = col[i] * cinv
-                cols[jj] = [R.nf(a - f * b) for a, b in zip(col, pivot)]
-            for o in range(len(proj[i])):
-                fi = proj[i][o]
-                if fi.is_zero:
-                    continue
-                for kk in range(len(gens)):
-                    if kk == i or pivot[kk].is_zero:
-                        continue
-                    proj[kk][o] = R.nf(proj[kk][o] - fi * cinv * pivot[kk])
-            del proj[i]
-            del gens[i]
-            del surviving[i]
-            del cols[j]
-            del cdegs[j]
-            for col in cols:
-                del col[i]
-            keep = [jj for jj, col in enumerate(cols) if any(col)]
-            cols = [cols[jj] for jj in keep]
-            cdegs = [cdegs[jj] for jj in keep]
-        kept = min_generate_columns(R, [tuple_to_vec(c) for c in cols], gens)
+        pivots, W, L = unit_pivots(R, self.relations.entries)
+        pivot_rows = {i for i, _ in pivots}
+        pivot_cols = {j for _, j in pivots}
+        surviving = [i for i in range(self.ngens) if i not in pivot_rows]
+        gens = tuple(self.gen_degrees[i] for i in surviving)
+        cols = [tuple_to_vec([W[i][j] for i in surviving])
+                for j in range(self.relations.ncols) if j not in pivot_cols]
+        kept = min_generate_columns(R, cols, gens)
         rel = RingMatrix(R, [v for _, v, _ in kept], gens,
                          [d for _, _, d in kept])
-        N = FPModule(R, tuple(gens), rel)
+        N = FPModule(R, gens, rel)
         proj_hom = ModuleHom(
-            self, N,
-            RingMatrix.from_rows(R, proj, tuple(gens), self.gen_degrees))
-        zero = amb._zero_exps
+            self, N, RingMatrix.from_rows(R, [L[i] for i in surviving], gens,
+                                          self.gen_degrees))
+        zero = R.ambient._zero_exps
         inj_hom = ModuleHom(
             N, self,
             RingMatrix(R, [{(o, zero): 1} for o in surviving],
-                       self.gen_degrees, tuple(gens)))
+                       self.gen_degrees, gens))
         self._min = (N, proj_hom, inj_hom)
         return self._min
 
@@ -1082,44 +1087,21 @@ def invert_unit_matrix(mat: RingMatrix) -> RingMatrix:
     """Exact inverse of a square graded matrix whose scalar part is
     invertible over the field.
 
-    Gauss-Jordan elimination; pivots are always degree-zero units (after each
-    clearing pass the remaining scalar block is a Schur complement of an
-    invertible matrix), so no divisions by nonunits ever arise.  Raises
+    unit_pivots finds a unit pivot in every row exactly when the scalar
+    part is invertible; then L.mat has the unit vector e_j as row i for
+    each pivot (i, j), so row j of the inverse is row i of L.  Raises
     ValueError when the scalar part is singular."""
     R = mat.ring
     n = mat.nrows
     if mat.ncols != n:
         raise ValueError("only square matrices can be inverted")
-    p = R.field.p
-    amb = R.ambient
-    a = [[R.nf(f) for f in row] for row in mat.entries]
-    b = [[amb.one() if i == j else amb.zero() for j in range(n)]
-         for i in range(n)]
-    for k in range(n):
-        piv = None
-        for i in range(k, n):
-            c = a[i][k].constant_coefficient()
-            if c:
-                piv = i
-                break
-        if piv is None:
-            raise ValueError("scalar part of the matrix is not invertible")
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
-            b[k], b[piv] = b[piv], b[k]
-        c = a[k][k].constant_coefficient()
-        inv = pow(c, p - 2, p)
-        a[k] = [R.nf(f * inv) for f in a[k]]
-        b[k] = [R.nf(f * inv) for f in b[k]]
-        for i in range(n):
-            if i == k:
-                continue
-            f = a[i][k]
-            if f.is_zero:
-                continue
-            a[i] = [R.nf(g - f * h) for g, h in zip(a[i], a[k])]
-            b[i] = [R.nf(g - f * h) for g, h in zip(b[i], b[k])]
-    out = RingMatrix.from_rows(R, b, mat.col_degrees, mat.row_degrees)
+    pivots, _, L = unit_pivots(R, mat.entries)
+    if len(pivots) < n:
+        raise ValueError("scalar part of the matrix is not invertible")
+    rows = [None] * n
+    for i, j in pivots:
+        rows[j] = L[i]
+    out = RingMatrix.from_rows(R, rows, mat.col_degrees, mat.row_degrees)
     if mat.mul(out) != RingMatrix.identity(R, mat.row_degrees):
         raise ValueError("matrix is not invertible over the ring")
     return out
@@ -1150,19 +1132,10 @@ def summand_analysis(e: ModuleHom):
     one_minus = RingMatrix.identity(R, degs).sub(e.matrix)
     c0 = one_minus.constant_part()
 
-    def greedy_columns(scalar):
-        chosen = []
-        rank = 0
-        for j in range(n):
-            cand = chosen + [j]
-            sub = [[scalar[i][jj] for jj in cand] for i in range(n)]
-            if matrix_rank(sub, p_char) > rank:
-                chosen.append(j)
-                rank += 1
-        return chosen
-
-    img_cols = greedy_columns(e0)
-    com_cols = greedy_columns(c0)
+    # the pivot columns of a reduced row echelon form are the
+    # lexicographically first column basis
+    img_cols = row_reduce(e0, p_char)[1]
+    com_cols = row_reduce(c0, p_char)[1]
     p = len(img_cols)
     q = len(com_cols)
     if p + q != n:

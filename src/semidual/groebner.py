@@ -39,7 +39,6 @@ __all__ = [
     "ideal_colon_element",
     "ideal_intersection",
     "ModuleGB",
-    "TrackedGB",
     "RelativeTracker",
     "IncrementalSpan",
     "module_syzygies",
@@ -339,45 +338,9 @@ class IncrementalSpan:
         return not self._eng.reduce_full(v)
 
 
-class TrackedGB:
-    """Groebner data for column vectors in S^rank with representation
-    tracking: tracking row rank+j carries the coefficient of input column j.
-    Exposes the syzygies found along the way."""
-
-    __slots__ = ("ring", "rank", "ncols", "basis")
-
-    def __init__(self, ring: PolyRing, columns, rank: int):
-        self.ring = ring
-        self.rank = rank
-        self.ncols = len(columns)
-        aug = []
-        for j, col in enumerate(columns):
-            v = dict(col)
-            v[(rank + j, ring._zero_exps)] = 1
-            aug.append(v)
-        eng = _Engine(ring, use_product=False)
-        eng.add_generators(aug)
-        eng.saturate()
-        self.basis = eng.reduced_basis()
-
-    def syzygies(self):
-        """Vectors in S^ncols generating the syzygy module of the columns."""
-        out = []
-        for v in self.basis:
-            (row, _), _ = vec_lead(v, self.ring.order.key)
-            if row >= self.rank:
-                if any(r < self.rank for (r, _) in v):
-                    raise RuntimeError(
-                        f"syzygy basis element led by tracking row {row} "
-                        f"has a term in the main block (rank {self.rank})")
-                out.append({(r - self.rank, e): c for (r, e), c in v.items()})
-        return out
-
 def module_syzygies(ring: PolyRing, columns, rank: int):
     """Generators of the syzygy module of the given columns of S^rank."""
-    if not columns:
-        return []
-    return TrackedGB(ring, columns, rank).syzygies()
+    return relative_kernel(ring, columns, (), rank)
 
 
 class RelativeTracker:
@@ -389,8 +352,8 @@ class RelativeTracker:
     every relation column into one over just the map columns, which is the
     difference between minutes and milliseconds on large direct sums.
 
-    Unlike TrackedGB this keeps the saturated (not interreduced) basis; the
-    callers thin generator lists themselves."""
+    The basis is kept saturated, not interreduced; the callers thin
+    generator lists themselves."""
 
     __slots__ = ("ring", "rank", "ncols", "_eng")
 
@@ -416,6 +379,10 @@ class RelativeTracker:
         for v in self._eng.basis:
             (row, _), _ = vec_lead(v, self.ring.order.key)
             if row >= self.rank:
+                if any(r < self.rank for (r, _) in v):
+                    raise RuntimeError(
+                        f"kernel vector led by tracking row {row} has a "
+                        f"term in the main block (rank {self.rank})")
                 out.append({(r - self.rank, e): c for (r, e), c in v.items()})
         return out
 

@@ -43,6 +43,7 @@ from .fpmod import (
     scalar_hom,
     summand_analysis,
     tensor_product,
+    unit_pivots,
 )
 from .homalg import (
     ChainComplex,
@@ -56,7 +57,6 @@ from .homalg import (
     module_dimension,
     projective_dimension,
 )
-from .linalg import matrix_rank
 
 __all__ = [
     "VerificationError",
@@ -232,13 +232,12 @@ def split_surjection(T: RingMatrix, C=None):
     """Split a surjection between direct sums of copies of a certified
     module, presented by the scalar matrix T (q rows, n columns).
 
-    Surjectivity is decided by the rank of the constant part of T: the
-    map is onto iff that rank is q.  The section S is produced by unit
-    pivoting: locate the lexicographically smallest degree-zero entry,
-    move it to the upper left, clear its row and column by elementary
-    transformations, and recurse on the remaining block.  All elementary
-    operations are tracked, so alongside S the routine returns matrices
-    U and V exhibiting the kernel as a free complement:
+    unit_pivots reduces T by row operations, L.T = W.  The map is
+    onto iff it finds a unit pivot in every row, that is iff the
+    constant part of T has rank q.  For each pivot (i, j) the section S
+    has row L[i] in row j; each free column k gives the complement
+    column e_k - sum W[i][k].e_j of U, and V projects onto the free
+    columns.  Together they exhibit the kernel as a free complement:
 
         T.S = 1,  V.U = 1,  S.T + U.V = 1,  T.U = 0,  V.S = 0.
 
@@ -248,104 +247,34 @@ def split_surjection(T: RingMatrix, C=None):
     replayed on the actual direct sums of copies of C.
 
     Returns (S, witnesses) where witnesses is a dict of matrices, the
-    pivot trace, and the check results."""
+    pivots as (row, column) of T, and the check results."""
     R = T.ring
-    amb = R.ambient
-    p_char = R.field.p
     q, n = T.nrows, T.ncols
-    scalar = T.constant_part()
-    if q > n or (q and matrix_rank(scalar, p_char) < q):
+    pivots, W, L = unit_pivots(R, T.entries)
+    if len(pivots) < q:
         raise ValueError(
             f"not surjective: the constant part of the {q}x{n} matrix has "
             f"rank below {q}")
 
-    W = [[R.nf(f) for f in row] for row in T.entries]
-    rdeg = list(T.row_degrees)
-    cdeg = list(T.col_degrees)
-    one, zero = amb.one(), amb.zero()
-    L = [[one if i == j else zero for j in range(q)] for i in range(q)]
-    Linv = [[one if i == j else zero for j in range(q)] for i in range(q)]
-    K = [[one if i == j else zero for j in range(n)] for i in range(n)]
-    Kinv = [[one if i == j else zero for j in range(n)] for i in range(n)]
-    pivots = []
-
-    for t in range(q):
-        found = None
-        for i in range(t, q):
-            for j in range(t, n):
-                if W[i][j].constant_coefficient():
-                    found = (i, j)
-                    break
-            if found:
-                break
-        if found is None:
-            raise RuntimeError(
-                "no unit pivot despite full scalar rank; elimination "
-                "invariant broken")
-        i, j = found
-        pivots.append((i, j))
-        if i != t:
-            W[t], W[i] = W[i], W[t]
-            rdeg[t], rdeg[i] = rdeg[i], rdeg[t]
-            L[t], L[i] = L[i], L[t]
-            for r in range(q):
-                Linv[r][t], Linv[r][i] = Linv[r][i], Linv[r][t]
-        if j != t:
-            for r in range(q):
-                W[r][t], W[r][j] = W[r][j], W[r][t]
-            cdeg[t], cdeg[j] = cdeg[j], cdeg[t]
-            for r in range(n):
-                K[r][t], K[r][j] = K[r][j], K[r][t]
-            Kinv[t], Kinv[j] = Kinv[j], Kinv[t]
-        c = W[t][t].constant_coefficient()
-        cinv = pow(c, p_char - 2, p_char)
-        W[t] = [R.nf(f * cinv) for f in W[t]]
-        L[t] = [R.nf(f * cinv) for f in L[t]]
-        for r in range(q):
-            Linv[r][t] = R.nf(Linv[r][t] * c)
-        for i in range(q):
-            if i == t:
-                continue
-            f = W[i][t]
-            if f.is_zero:
-                continue
-            W[i] = [R.nf(a - f * b) for a, b in zip(W[i], W[t])]
-            L[i] = [R.nf(a - f * b) for a, b in zip(L[i], L[t])]
-            for r in range(q):
-                Linv[r][t] = R.nf(Linv[r][t] + f * Linv[r][i])
-        for j in range(n):
-            if j == t:
-                continue
-            f = W[t][j]
-            if f.is_zero:
-                continue
-            for r in range(q):
-                W[r][j] = R.nf(W[r][j] - f * W[r][t])
-            for r in range(n):
-                K[r][j] = R.nf(K[r][j] - f * K[r][t])
-            Kinv[t] = [R.nf(a + f * b) for a, b in zip(Kinv[t], Kinv[j])]
-
-    for i in range(q):
-        for j in range(n):
-            want = one if i == j else zero
-            if W[i][j] != want:
-                raise RuntimeError("elimination did not reach [1 | 0] form")
-
-    rdeg = tuple(rdeg)
-    cdeg = tuple(cdeg)
-    Lm = RingMatrix.from_rows(R, L, rdeg, T.row_degrees)
-    Km = RingMatrix.from_rows(R, K, T.col_degrees, cdeg)
-    Kinvm = RingMatrix.from_rows(R, Kinv, cdeg, T.col_degrees)
-    S = RingMatrix.from_rows(R, [row[:q] for row in K], T.col_degrees,
-                             cdeg[:q]).mul(Lm)
-    U = RingMatrix.from_rows(R, [row[q:] for row in K], T.col_degrees,
-                             cdeg[q:])
-    V = RingMatrix.from_rows(R, Kinv[q:], cdeg[q:], T.col_degrees)
+    one, zero = R.ambient.one(), R.ambient.zero()
+    pivot_cols = {j for _, j in pivots}
+    free = [k for k in range(n) if k not in pivot_cols]
+    fdeg = tuple(T.col_degrees[k] for k in free)
+    srows = [[zero] * q for _ in range(n)]
+    urows = [[one if c == k else zero for k in free] for c in range(n)]
+    for i, j in pivots:
+        srows[j] = L[i]
+        urows[j] = [-W[i][k] for k in free]
+    S = RingMatrix.from_rows(R, srows, T.col_degrees, T.row_degrees)
+    U = RingMatrix.from_rows(R, urows, T.col_degrees, fdeg)
+    V = RingMatrix.from_rows(
+        R, [[one if c == k else zero for c in range(n)] for k in free],
+        fdeg, T.col_degrees)
 
     e = S.mul(T)
     identities = {
         "section": T.mul(S) == RingMatrix.identity(R, T.row_degrees),
-        "complement_retraction": V.mul(U) == RingMatrix.identity(R, cdeg[q:]),
+        "complement_retraction": V.mul(U) == RingMatrix.identity(R, fdeg),
         "resolution_of_identity":
             e.add(U.mul(V)) == RingMatrix.identity(R, T.col_degrees),
         "lands_in_kernel": T.mul(U).is_zero_matrix,
@@ -362,9 +291,7 @@ def split_surjection(T: RingMatrix, C=None):
         "idempotent": e,
         "complement_inclusion": U,
         "complement_retraction": V,
-        "row_ops": Lm,
-        "col_ops": Km,
-        "col_ops_inverse": Kinvm,
+        "row_ops": RingMatrix.from_rows(R, L, T.row_degrees, T.row_degrees),
         "pivots": pivots,
         "identities": identities,
         "q": q,
@@ -386,9 +313,14 @@ def split_surjection(T: RingMatrix, C=None):
             e_pow.source, e_pow.source,
             RingMatrix.identity(R, e_pow.source.gen_degrees).sub(
                 e_pow.matrix))
-        v_pow = power_scalar_hom(C, V)
-        Co = image(one_minus)[0]
-        co_iso = hom_is_isomorphism(ModuleHom(Co, v_pow.target, v_pow.matrix))
+        if free:
+            v_pow = power_scalar_hom(C, V)
+            Co = image(one_minus)[0]
+            co_iso = hom_is_isomorphism(
+                ModuleHom(Co, v_pow.target, v_pow.matrix))
+        else:
+            # rank-0 complement: S.T = 1 exactly, so 1 - e_pow vanishes
+            co_iso = True
         power = {
             "surjective": onto,
             "section_splits": splits,

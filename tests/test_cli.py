@@ -142,6 +142,26 @@ def test_split_session(tmp_path, capsys):
     assert all(rep["power_check"].values())
 
 
+def test_split_square_matrix_has_zero_complement(tmp_path, capsys):
+    # an invertible T leaves a complement of rank 0, an empty sum of copies
+    session = ("ring R { char 101; vars x y; }\n"
+               "module C over R { gens deg 0; }\n"
+               "matrix T over R {\n"
+               "    rowdegs 0;\n"
+               "    coldegs 0;\n"
+               "    cols { [1]; }\n"
+               "}\n"
+               "run split(T, C) { format json; }\n")
+    assert main(["run", _write(tmp_path, session)]) == EXIT_OK
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["section"] == [["1"]]
+    assert rep["image_rank"] == 1 and rep["complement_rank"] == 0
+    assert all(rep["identities"].values())
+    assert rep["power_check"] == {
+        "surjective": True, "section_splits": True,
+        "image_is_power": True, "complement_is_power": True}
+
+
 def test_split_without_module_omits_power_check(tmp_path, capsys):
     session = ("ring R { char 101; vars x y; }\n"
                "matrix T over R {\n"

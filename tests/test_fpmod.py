@@ -1,5 +1,7 @@
 """Finitely presented graded modules: kernels, Hom, tensor, minimality."""
 
+import random
+
 import pytest
 
 from semidual import fpmod
@@ -18,6 +20,7 @@ from semidual.fpmod import (
     homology_at,
     homology_is_zero,
     identity_hom,
+    invert_unit_matrix,
     is_injective,
     is_isomorphic,
     is_nzd_on,
@@ -31,6 +34,9 @@ from semidual.fpmod import (
     tensor_product,
     tuple_to_vec,
 )
+from semidual.linalg import is_invertible
+
+from helpers_random import random_homogeneous, shift_spread
 
 F = PrimeField(101)
 
@@ -211,6 +217,48 @@ def dense(mat):
 
 def reduced(R, rows):
     return [[R.nf(f) for f in row] for row in rows]
+
+
+def _random_unit_matrix(R, rng, singular):
+    """A random square graded matrix with permuted column degrees whose
+    scalar part is invertible, or, when singular, has a zero first row."""
+    amb = R.ambient
+    p = R.field.p
+    spread = shift_spread(R)
+    while True:
+        n = rng.randint(1, 3)
+        rdegs = [rng.choice(spread[:2]) for _ in range(n)]
+        cdegs = rng.sample(rdegs, n)
+        rows = []
+        for i in range(n):
+            row = []
+            for j in range(n):
+                d = cdegs[j] - rdegs[i]
+                f = None
+                if d == 0 and not (singular and i == 0):
+                    f = amb.constant(rng.randrange(p))
+                elif d > 0:
+                    f = random_homogeneous(R, d, rng, allow_zero=True)
+                row.append(f if f is not None else amb.zero())
+            rows.append(row)
+        mat = RingMatrix.from_rows(R, rows, rdegs, cdegs)
+        if singular or is_invertible(mat.constant_part(), p):
+            return mat
+
+
+def test_invert_unit_matrix_over_corpus_rings(all_corpus):
+    for corp in all_corpus:
+        R = corp.ring
+        rng = random.Random(60)
+        for i in range(10):
+            mat = _random_unit_matrix(R, rng, singular=False)
+            inv = invert_unit_matrix(mat)
+            assert mat.mul(inv) == RingMatrix.identity(R, mat.row_degrees), \
+                (corp.name, i)
+            assert inv.mul(mat) == RingMatrix.identity(R, mat.col_degrees), \
+                (corp.name, i)
+            with pytest.raises(ValueError, match="not invertible"):
+                invert_unit_matrix(_random_unit_matrix(R, rng, singular=True))
 
 
 def test_direct_sum_relations_are_block_diagonal(plane, omega):

@@ -114,6 +114,17 @@ def test_split_two_by_three(poly_xy):
     assert all(wit["identities"].values())
 
 
+def test_split_pivots_are_input_positions(poly_xy):
+    S = poly_xy.amb
+    x = S.variable(0)
+    T = RingMatrix.from_rows(
+        poly_xy.ring, [[S.zero(), S.one(), x], [S.one(), S.one(), S.zero()]],
+        (0, 0), (0, 0, 1))
+    sec, wit = split_surjection(T)
+    assert wit["pivots"] == [(0, 1), (1, 0)]
+    assert all(wit["identities"].values())
+
+
 def test_split_semigroup_with_power_witness(semigroup):
     S = semigroup.amb
     x = S.variable(0)
