@@ -12,6 +12,11 @@ own directory.  The end-to-end metrics and their directions are read from
 the change's BENCHMARK.json, and so is the run length unless --seconds is
 given.
 
+The output records which code was timed: `git rev-parse HEAD` in each
+checkout, or, where that fails (a `git archive` copy, say), the id given
+by --parent-commit / --change-commit.  The script stops before timing
+anything if a side has neither.
+
 The output holds, per workload and metric, every pair's values, each
 side's median and quartiles (statistics.quantiles, n=4, inclusive), the
 number of pairs the change wins (ties count for neither side) and the
@@ -89,7 +94,18 @@ def main(argv=None):
     ap.add_argument("--seeds", required=True, type=parse_seeds)
     ap.add_argument("--seconds", type=float, default=None)
     ap.add_argument("--out", required=True, type=Path)
+    ap.add_argument("--parent-commit", default=None,
+                    help="commit of --parent when it is not a git checkout")
+    ap.add_argument("--change-commit", default=None,
+                    help="commit of --change when it is not a git checkout")
     ns = ap.parse_args(argv)
+    commits = {}
+    for side, given in (("parent", ns.parent_commit),
+                        ("change", ns.change_commit)):
+        commits[side] = git_head(getattr(ns, side)) or given
+        if commits[side] is None:
+            raise SystemExit(f"bench_pairs: no commit for --{side}; it is "
+                             f"not a git checkout, so pass --{side}-commit")
     spec = json.loads((ns.change / "BENCHMARK.json").read_text())
     metrics = {m["name"]: m["better"] for m in spec["end_to_end"]}
     seconds = ns.seconds or spec["run_seconds"]
@@ -109,8 +125,8 @@ def main(argv=None):
                                      f"{side} on {w}, seed {seed}")
 
     out = {
-        "parent_commit": git_head(ns.parent),
-        "change_commit": git_head(ns.change),
+        "parent_commit": commits["parent"],
+        "change_commit": commits["change"],
         "machine": {"nproc": os.cpu_count(),
                     "python": platform.python_version()},
         "command": (f"python3 perfbench/run.py --workload W --seed S "

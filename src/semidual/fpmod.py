@@ -26,6 +26,7 @@ from .groebner import (
     buchberger,
     ideal_intersection,
     relative_kernel,
+    row_blocks,
 )
 from .linalg import is_invertible, nullspace, row_reduce
 
@@ -121,21 +122,37 @@ def min_generate_columns(ring: GradedRing, cols, row_degrees, extra=(),
 
     When the caller already holds a reduced basis of the modulo-part (a
     cached relgb, say), passing it as reduced_seed skips re-saturating it.
+
+    Each row block (see row_blocks) is decided on its own, once per
+    distinct block; the decisions are those of one span over everything.
     """
     if reduced_seed is None:
         reduced_seed = inflation_vectors(ring, len(row_degrees))
-    span = IncrementalSpan(ring.ambient, extra, reduced_seed=reduced_seed)
     staged = []
     for j, v in enumerate(cols):
         d = column_degree(ring.ambient, v, row_degrees)
         if d is not None:
             staged.append((d, j, v))
     staged.sort(key=lambda t: (t[0], t[1]))
-    kept = []
-    for d, j, v in staged:
-        if span.add(v):
-            kept.append((j, v, d))
-    return kept
+    vecs = [v for _, _, v in staged]
+    blocks = row_blocks((reduced_seed, extra, vecs))
+    if blocks is None:
+        span = IncrementalSpan(ring.ambient, extra, reduced_seed=reduced_seed)
+        keep = [span.add(v) for v in vecs]
+    else:
+        keep = [False] * len(vecs)
+        solved = {}
+        for key, idx in blocks:
+            flags = solved.get(key)
+            if flags is None:
+                _, bseed, bextra, bvecs = key
+                span = IncrementalSpan(
+                    ring.ambient, [dict(v) for v in bextra],
+                    reduced_seed=[dict(v) for v in bseed])
+                flags = solved[key] = [span.add(dict(v)) for v in bvecs]
+            for s, flag in zip(idx, flags):
+                keep[s] = flag
+    return [(j, v, d) for (d, j, v), k in zip(staged, keep) if k]
 
 
 # ---------------------------------------------------------------------------

@@ -43,6 +43,7 @@ __all__ = [
     "IncrementalSpan",
     "module_syzygies",
     "relative_kernel",
+    "row_blocks",
     "vec_from_poly",
     "vec_scale",
     "vec_lead",
@@ -91,7 +92,7 @@ class _Engine:
     def __init__(self, ring: PolyRing, use_product: bool = False):
         self.ring = ring
         self.p = ring.field.p
-        self.okey = ring.order.key
+        self.okey = ring.order.keys.__getitem__
         self.use_product = use_product
         self.basis = []   # monic vectors
         self.leads = []   # (row, exps)
@@ -307,11 +308,8 @@ class ModuleGB:
     def lead_exps_by_row(self) -> dict:
         """row -> list of leading exponent tuples, for standard-monomial
         enumeration in quotient presentations."""
-        out: dict = {}
-        for v in self.basis:
-            (row, exps), _ = vec_lead(v, self.ring.order.key)
-            out.setdefault(row, []).append(exps)
-        return out
+        return {row: [exps for exps, _ in leads]
+                for row, leads in self._engine.by_row.items()}
 
 
 class IncrementalSpan:
@@ -377,7 +375,7 @@ class RelativeTracker:
         span: the basis elements with no term left in the main block."""
         out = []
         for v in self._eng.basis:
-            (row, _), _ = vec_lead(v, self.ring.order.key)
+            (row, _), _ = vec_lead(v, self._eng.okey)
             if row >= self.rank:
                 if any(r < self.rank for (r, _) in v):
                     raise RuntimeError(
@@ -403,10 +401,107 @@ class RelativeTracker:
 
 def relative_kernel(ring: PolyRing, columns, seed, rank: int):
     """Coefficient vectors a over the columns with sum a_j * column_j in the
-    span of the seed (an already-reduced basis)."""
+    span of the seed (an already-reduced basis).
+
+    Solved one row block at a time (see row_blocks), once per distinct
+    block, so the output is grouped by block."""
     if not columns:
         return []
-    return RelativeTracker(ring, columns, seed, rank).kernel_vectors()
+    blocks = row_blocks((seed, columns), rank)
+    if blocks is None:
+        return RelativeTracker(ring, columns, seed, rank).kernel_vectors()
+    solved = {}
+    out = []
+    for key, js in blocks:
+        kern = solved.get(key)
+        if kern is None:
+            nrows, bseed, bcols = key
+            kern = solved[key] = RelativeTracker(
+                ring, [dict(v) for v in bcols], [dict(v) for v in bseed],
+                nrows - len(bcols)).kernel_vectors()
+        out += [{(js[t], e): c for (t, e), c in u.items()} for u in kern]
+    return out
+
+
+def row_blocks(families, rank=None):
+    """Split families of free-module vectors into row-connected blocks: two
+    rows are linked when one vector touches both.  With `rank` given,
+    vector j of the last family also owns the tracking row rank + j.
+
+    Returns None when the last family lies in one block.  Otherwise one
+    (key, indices) per block holding a vector of the last family, in order
+    of its first such vector; indices are the input indices of those
+    vectors.  key is (nrows, family_0, ..., family_last): each family lists
+    its vectors in the block, in input order, as tuples of items, with the
+    block's rows relabelled 0..nrows-1 in increasing order so that position-
+    over-term order is kept.  Blocks with equal keys are copies of one
+    another, and one engine run serves them all.
+
+    Pairs never cross rows and a reducer only touches rows of its own block,
+    so an engine run over one block takes the same steps in the same
+    relative order as the whole run does in that block.  Zero vectors own no
+    row and belong to no block."""
+    parent = {}
+
+    def find(r):
+        root = r
+        while parent[root] != root:
+            root = parent[root]
+        while r != root:
+            parent[r], r = root, parent[r]
+        return root
+
+    last = len(families) - 1
+    firsts = []
+    for f, vecs in enumerate(families):
+        fam_firsts = []
+        for i, v in enumerate(vecs):
+            rows = {r for r, _ in v}
+            if f == last and rank is not None:
+                rows.add(rank + i)
+            if not rows:
+                fam_firsts.append(None)
+                continue
+            r = rows.pop()
+            parent.setdefault(r, r)
+            if rows:
+                root = find(r)
+                for q in rows:
+                    parent.setdefault(q, q)
+                    q = find(q)
+                    if q != root:
+                        parent[q] = root
+            fam_firsts.append(r)
+        firsts.append(fam_firsts)
+    root_of = {r: find(r) for r in parent}
+
+    blocks = {}
+    for i, r in enumerate(firsts[last]):
+        if r is not None:
+            blocks.setdefault(root_of[r], []).append(i)
+    if len(blocks) <= 1:
+        return None
+    rows_of = {b: [] for b in blocks}
+    for r, b in root_of.items():
+        if b in rows_of:
+            rows_of[b].append(r)
+    members = {b: [[] for _ in families] for b in blocks}
+    for f, (vecs, fam_firsts) in enumerate(zip(families, firsts)):
+        for v, r in zip(vecs, fam_firsts):
+            if r is not None:
+                m = members.get(root_of[r])
+                if m is not None:
+                    m[f].append(v)
+    out = []
+    for b, idx in blocks.items():
+        rows = sorted(rows_of[b])
+        new = dict(zip(rows, range(len(rows))))
+        key = (len(rows),) + tuple(
+            tuple([tuple([((new[r], e), c) for (r, e), c in v.items()])
+                   for v in vecs])
+            for vecs in members[b])
+        out.append((key, idx))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -128,24 +128,39 @@ def mono_degree(a) -> int:
     return sum(a)
 
 
+class _KeyMemo(dict):
+    """exps -> MonomialOrder.key(exps), filled on first lookup."""
+
+    __slots__ = ("order",)
+
+    def __init__(self, order):
+        self.order = order
+
+    def __missing__(self, exps):
+        k = self[exps] = self.order.key(exps)
+        return k
+
+
 class MonomialOrder:
     """Total order on exponent tuples: degrevlex (default), deglex or lex,
     optionally composed with a variable priority permutation.
 
     perm lists variable indices in decreasing priority; identity by default.
     key() maps an exponent tuple to a sort key such that a > b in the order
-    iff key(a) > key(b).
+    iff key(a) > key(b).  `keys` memoises it: `keys[exps]` computes a key
+    once per distinct monomial, which is what the hot loops look up.
     """
 
     KINDS = ("degrevlex", "deglex", "lex")
 
-    __slots__ = ("kind", "perm")
+    __slots__ = ("kind", "perm", "keys")
 
     def __init__(self, kind: str = "degrevlex", perm=None):
         if kind not in self.KINDS:
             raise ValueError(f"unknown monomial order {kind!r}")
         self.kind = kind
         self.perm = tuple(perm) if perm is not None else None
+        self.keys = _KeyMemo(self)
 
     def key(self, exps):
         e = exps if self.perm is None else tuple(exps[i] for i in self.perm)
@@ -233,7 +248,8 @@ class PolyRing:
             c = self.field.normalize(c)
             if c:
                 items.append((tuple(exps), c))
-        items.sort(key=lambda t: self.order.key(t[0]), reverse=True)
+        keys = self.order.keys
+        items.sort(key=lambda t: keys[t[0]], reverse=True)
         return Polynomial(self, tuple(items))
 
     def from_string(self, text: str) -> "Polynomial":
@@ -261,7 +277,7 @@ class PolyRing:
         if self.nvars == 0:
             return []
         rec(0, d, [])
-        out.sort(key=self.order.key, reverse=True)
+        out.sort(key=self.order.keys.__getitem__, reverse=True)
         return out
 
     def __eq__(self, other):
@@ -463,7 +479,7 @@ def leading_term(f: Polynomial, order: MonomialOrder | None = None):
         raise ValueError("zero polynomial has no leading term")
     if order is None or order == f.ring.order:
         return f.leading()
-    best = max(f.terms, key=lambda t: order.key(t[0]))
+    best = max(f.terms, key=lambda t: order.keys[t[0]])
     return best[1], best[0]
 
 

@@ -5,6 +5,7 @@ replayed from its seed alone.
 """
 
 from semidual.fpmod import FPModule, RingMatrix
+from semidual.polyring import mono_mul
 from semidual.linalg import matrix_rank
 
 
@@ -106,3 +107,67 @@ def random_surjection(R, rng, max_rows=3, max_cols=4):
         cols.append(tuple(col))
         cdegs.append(cdeg)
     return RingMatrix.from_columns(R, cols, rdegs, cdegs)
+
+
+def random_block(R, rng, max_cols=3):
+    """(seed, cols, row_degrees) of one row block: the reduced relation
+    basis of a random module over R, and homogeneous columns in its rows,
+    the last one a variable times the first, so that it is redundant."""
+    M = random_module(R, rng)
+    amb = R.ambient
+    ncols = rng.randint(1, max_cols)
+    cols = []
+    while len(cols) < ncols:
+        shift = rng.choice([s for s in shift_spread(R) if s > 0])
+        cdeg = max(M.gen_degrees) + shift
+        col = {}
+        for i, gd in enumerate(M.gen_degrees):
+            f = random_homogeneous(R, cdeg - gd, rng) if cdeg > gd else None
+            if f is not None:
+                col.update({(i, e): c for e, c in f.terms})
+        if col:
+            cols.append(col)
+    x = amb.variable(0).terms[0][0]
+    cols.append({(i, mono_mul(e, x)): c for (i, e), c in cols[0].items()})
+    return list(M.relgb.basis), cols, list(M.gen_degrees)
+
+
+def seed_only_block(R, rng):
+    """A block with seed vectors and no columns."""
+    while True:
+        seed, _, rdegs = random_block(R, rng)
+        if seed:
+            return seed, [], rdegs
+
+
+def block_diagonal(blocks, rng):
+    """(seed, cols, row_degrees, zero_col) with the blocks placed along the
+    diagonal: rows and columns of different blocks interleaved by a seeded
+    shuffle that keeps each block's own order, and one zero column, at
+    index zero_col.  A block listed twice becomes two identical copies; a
+    block with no columns contributes seed vectors only."""
+    row_owner = [b for b, (_, _, rdegs) in enumerate(blocks) for _ in rdegs]
+    rng.shuffle(row_owner)
+    rows = [[] for _ in blocks]
+    for r, b in enumerate(row_owner):
+        rows[b].append(r)
+    row_degrees = [None] * len(row_owner)
+    for b, (_, _, rdegs) in enumerate(blocks):
+        for r, d in zip(rows[b], rdegs):
+            row_degrees[r] = d
+
+    def place(b, v):
+        return {(rows[b][i], e): c for (i, e), c in v.items()}
+
+    seed = [place(b, v) for b, (bseed, _, _) in enumerate(blocks)
+            for v in bseed]
+    col_owner = [b for b, (_, bcols, _) in enumerate(blocks) for _ in bcols]
+    rng.shuffle(col_owner)
+    nxt = [0] * len(blocks)
+    cols = []
+    for b in col_owner:
+        cols.append(place(b, blocks[b][1][nxt[b]]))
+        nxt[b] += 1
+    zero_col = rng.randrange(len(cols) + 1)
+    cols.insert(zero_col, {})
+    return seed, cols, row_degrees, zero_col

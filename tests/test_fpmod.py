@@ -6,7 +6,7 @@ import pytest
 
 from semidual import fpmod
 from semidual.polyring import PolyRing, PrimeField
-from semidual.groebner import GradedRing, ModuleGB
+from semidual.groebner import GradedRing, IncrementalSpan, ModuleGB
 from semidual.fpmod import (
     FPModule,
     HomModule,
@@ -36,7 +36,13 @@ from semidual.fpmod import (
 )
 from semidual.linalg import is_invertible
 
-from helpers_random import random_homogeneous, shift_spread
+from helpers_random import (
+    block_diagonal,
+    random_block,
+    random_homogeneous,
+    seed_only_block,
+    shift_spread,
+)
 
 F = PrimeField(101)
 
@@ -358,3 +364,67 @@ def test_wrong_degree_entry_is_rejected(omega):
         RingMatrix(R, [{(1, (1, 0, 0)): 1}], (1, 0), (4,))
     with pytest.raises(ValueError, match=msg):
         fpmod.block_matrix(R, [({(0, (1, 0, 0)): 1}, 1, 1)], (1, 0), (4,))
+
+
+def _one_span_pass(R, cols, row_degrees, extra, reduced_seed):
+    """min_generate_columns as one span over every column."""
+    if reduced_seed is None:
+        reduced_seed = fpmod.inflation_vectors(R, len(row_degrees))
+    span = IncrementalSpan(R.ambient, extra, reduced_seed=reduced_seed)
+    staged = sorted((d, j, v) for j, v in enumerate(cols) for d in
+                    [fpmod.column_degree(R.ambient, v, row_degrees)]
+                    if d is not None)
+    return [(j, v, d) for d, j, v in staged if span.add(v)]
+
+
+def test_min_generate_columns_by_blocks_matches_one_span(all_corpus):
+    """Block-diagonal columns with two identical copies, a seed-only block,
+    a zero column, a zero extra vector and interleaved rows: deciding block
+    by block keeps what one span over everything keeps."""
+    for corp in all_corpus:
+        R = corp.ring
+        for case in range(3):
+            rng = random.Random(f"{corp.name}-{case}")
+            templates = [random_block(R, rng)
+                         for _ in range(rng.randint(1, 3))]
+            blocks = templates + [templates[0], seed_only_block(R, rng)]
+            rng.shuffle(blocks)
+            seed, cols, rdegs, _ = block_diagonal(blocks, rng)
+            extra = [{}, cols[rng.randrange(len(cols))]]
+            for reduced_seed in (seed, None):
+                got = fpmod.min_generate_columns(R, cols, rdegs, extra,
+                                                 reduced_seed)
+                want = _one_span_pass(R, cols, rdegs, extra, reduced_seed)
+                assert got == want, (corp.name, case)
+                assert len(got) < sum(1 for v in cols if v)
+
+
+def test_min_generate_columns_decides_identical_blocks_once(
+        monkeypatch, omega):
+    _, R, _ = omega
+    block = random_block(R, random.Random(21))
+    seed, cols, rdegs, _ = block_diagonal([block] * 3, random.Random(22))
+    built = []
+
+    class Counted(IncrementalSpan):
+        def __init__(self, *args, **kw):
+            built.append(args)
+            super().__init__(*args, **kw)
+
+    monkeypatch.setattr(fpmod, "IncrementalSpan", Counted)
+    got = fpmod.min_generate_columns(R, cols, rdegs, reduced_seed=seed)
+    assert len(built) == 1
+    assert got == _one_span_pass(R, cols, rdegs, (), seed)
+
+
+def test_min_generate_columns_skips_zero_extra_vectors(plane):
+    S, R = plane
+    x, y = S.variable(0), S.variable(1)
+    cols = [tuple_to_vec((x, S.zero())), tuple_to_vec((S.zero(), y)),
+            tuple_to_vec((x * y, S.zero()))]
+    want = fpmod.min_generate_columns(R, cols, (0, 0))
+    assert [j for j, _, _ in want] == [0, 1]
+    for extra in ([{}], [{}, tuple_to_vec((S.zero(), x))]):
+        got = fpmod.min_generate_columns(R, cols, (0, 0), extra)
+        assert got == _one_span_pass(R, cols, (0, 0), extra, None)
+    assert fpmod.min_generate_columns(R, cols, (0, 0), [{}]) == want

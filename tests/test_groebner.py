@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
 import sympy
@@ -20,6 +21,8 @@ from semidual.groebner import (
     relative_kernel,
     vec_lead,
 )
+
+from helpers_random import block_diagonal, random_block, seed_only_block
 
 F = PrimeField(101)
 
@@ -252,3 +255,68 @@ def test_ideal_dimension():
     assert ideal_dimension(buchberger([x, y], ring=S)) == 1
     assert ideal_dimension(buchberger([x, y, z], ring=S)) == 0
     assert ideal_dimension(buchberger([], ring=S)) == 3
+
+
+def _block_ring(name):
+    if name == "semigroup":
+        S = PolyRing(F, ("x", "y", "z"), weights=(3, 4, 5))
+        x, y, z = (S.variable(i) for i in range(3))
+        return GradedRing(S, [y * y - x * z, x**3 - y * z, x * x * y - z * z])
+    S = PolyRing(F, ("x", "y"))
+    x = S.variable(0)
+    return GradedRing(S, [x * x] if name == "hypersurface" else [])
+
+
+def _as_multiset(vectors):
+    return Counter(frozenset(v.items()) for v in vectors)
+
+
+@pytest.mark.parametrize("ring_name", ["poly", "hypersurface", "semigroup"])
+@pytest.mark.parametrize("case", range(3))
+def test_relative_kernel_by_blocks_matches_one_tracker(ring_name, case):
+    """Block-diagonal input with two identical copies, a seed-only block,
+    a zero column and interleaved rows: solving block by block gives the
+    kernel vectors of one tracked run over everything."""
+    rng = random.Random(f"{ring_name}-{case}")
+    R = _block_ring(ring_name)
+    templates = [random_block(R, rng) for _ in range(rng.randint(1, 3))]
+    blocks = templates + [templates[0], seed_only_block(R, rng)]
+    rng.shuffle(blocks)
+    seed, cols, rdegs, zero_col = block_diagonal(blocks, rng)
+    amb = R.ambient
+    got = relative_kernel(amb, cols, seed, len(rdegs))
+    want = RelativeTracker(amb, cols, seed, len(rdegs)).kernel_vectors()
+    assert _as_multiset(got) == _as_multiset(want)
+    assert {(zero_col, amb._zero_exps): 1} in got
+
+
+def test_relative_kernel_solves_identical_blocks_once(monkeypatch):
+    R = _block_ring("hypersurface")
+    block = random_block(R, random.Random(11))
+    k = 4
+    seed, cols, rdegs, zero_col = block_diagonal([block] * k,
+                                                 random.Random(12))
+    del cols[zero_col]
+    built = []
+
+    class Counted(RelativeTracker):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr("semidual.groebner.RelativeTracker", Counted)
+    got = relative_kernel(R.ambient, cols, seed, len(rdegs))
+    assert len(built) == 1
+    want = RelativeTracker(R.ambient, cols, seed, len(rdegs)).kernel_vectors()
+    assert _as_multiset(got) == _as_multiset(want)
+    assert len(got) == k * len(relative_kernel(R.ambient, block[1], block[0],
+                                               len(block[2])))
+
+
+def test_relative_kernel_of_zero_columns_keeps_their_unit_vectors():
+    S = PolyRing(F, ("x", "y"))
+    zero = S._zero_exps
+    cols = [{(0, (1, 0)): 1}, {}, {(1, (0, 1)): 1}]
+    got = relative_kernel(S, cols, (), 2)
+    assert got == [{(1, zero): 1}]
+    assert relative_kernel(S, [{}], (), 1) == [{(0, zero): 1}]

@@ -157,6 +157,54 @@ def test_order_key_matches_written_out_formulas(kind, perm):
                     == _greater_by_definition(kind, perm, a, b)), (a, b)
 
 
+def _written_out_key(kind, perm, a):
+    e = a if perm is None else tuple(a[i] for i in perm)
+    return {
+        "degrevlex": (sum(e), tuple(-x for x in reversed(e))),
+        "deglex": (sum(e), e),
+        "lex": e,
+    }[kind]
+
+
+@pytest.mark.parametrize("kind", MonomialOrder.KINDS)
+@pytest.mark.parametrize("perm", [None, (2, 0, 1)])
+def test_memoised_order_key_matches_written_out_formulas(kind, perm):
+    order = MonomialOrder(kind, perm)
+    for _ in range(2):  # the second pass reads the filled memo
+        for a in MONOMIALS:
+            assert order.keys[a] == _written_out_key(kind, perm, a), a
+            assert order.key(a) == order.keys[a], a
+    assert len(order.keys) == len(MONOMIALS)
+
+
+def test_orders_with_equal_kind_and_perm_stay_equal():
+    for kind in MonomialOrder.KINDS:
+        for perm in (None, (2, 0, 1)):
+            a, b = MonomialOrder(kind, perm), MonomialOrder(kind, perm)
+            for e in MONOMIALS[:7]:
+                a.keys[e]
+            assert len(a.keys) == 7 and not b.keys
+            assert a == b and hash(a) == hash(b)
+            assert a != MonomialOrder(kind, (1, 2, 0))
+            assert PolyRing(F, ("x", "y", "z"), order=a) == \
+                PolyRing(F, ("x", "y", "z"), order=b)
+
+
+@pytest.mark.parametrize("kind", MonomialOrder.KINDS)
+@pytest.mark.parametrize("perm", [None, (2, 0, 1)])
+def test_from_dict_sorts_terms_by_the_written_out_key(kind, perm):
+    S = PolyRing(F, ("x", "y", "z"), order=MonomialOrder(kind, perm))
+    rng = random.Random(f"{kind}-{perm}")
+    for _ in range(20):
+        terms = {e: rng.randrange(1, 101)
+                 for e in rng.sample(MONOMIALS, rng.randrange(1, 12))}
+        f = S.from_dict(terms)
+        assert dict(f.terms) == terms
+        assert [e for e, _ in f.terms] == sorted(
+            terms, key=lambda a: _written_out_key(kind, perm, a),
+            reverse=True)
+
+
 def test_monomial_kernels_match_zip_references():
     for a in MONOMIALS:
         for b in MONOMIALS:
