@@ -27,6 +27,7 @@ from .groebner import (
     ideal_intersection,
     relative_kernel,
     row_blocks,
+    solve_blocks,
 )
 from .linalg import is_invertible, nullspace, row_reduce
 
@@ -69,6 +70,7 @@ __all__ = [
     "column_degree",
     "inflation_vectors",
     "min_generate_columns",
+    "in_span",
 ]
 
 
@@ -135,24 +137,32 @@ def min_generate_columns(ring: GradedRing, cols, row_degrees, extra=(),
             staged.append((d, j, v))
     staged.sort(key=lambda t: (t[0], t[1]))
     vecs = [v for _, _, v in staged]
+
+    def decide(_, seed, extra, vecs):
+        span = IncrementalSpan(ring.ambient, extra, reduced_seed=seed)
+        return [span.add(v) for v in vecs]
     blocks = row_blocks((reduced_seed, extra, vecs))
     if blocks is None:
-        span = IncrementalSpan(ring.ambient, extra, reduced_seed=reduced_seed)
-        keep = [span.add(v) for v in vecs]
+        keep = decide(None, reduced_seed, extra, vecs)
     else:
         keep = [False] * len(vecs)
-        solved = {}
-        for key, idx in blocks:
-            flags = solved.get(key)
-            if flags is None:
-                _, bseed, bextra, bvecs = key
-                span = IncrementalSpan(
-                    ring.ambient, [dict(v) for v in bextra],
-                    reduced_seed=[dict(v) for v in bseed])
-                flags = solved[key] = [span.add(dict(v)) for v in bvecs]
+        for flags, idx in solve_blocks(blocks, decide):
             for s, flag in zip(idx, flags):
                 keep[s] = flag
     return [(j, v, d) for (d, j, v), k in zip(staged, keep) if k]
+
+
+def in_span(amb, seed, gens, vecs) -> bool:
+    """True when every vector of vecs lies in the span of gens and of the
+    reduced basis seed, decided once per distinct row block up to the first
+    that fails: a vector lies in the span iff it lies in its block's part."""
+    def check(_, seed, gens, vecs):
+        span = IncrementalSpan(amb, gens, reduced_seed=seed)
+        return all(span.contains(u) for u in vecs)
+    blocks = row_blocks((seed, gens, vecs))
+    if blocks is None:
+        return check(None, seed, gens, vecs)
+    return all(ok for ok, _ in solve_blocks(blocks, check))
 
 
 # ---------------------------------------------------------------------------
@@ -167,17 +177,21 @@ class RingMatrix:
     vector holding the nonzero entries only, each in normal form modulo
     the defining ideal, rows ascending and each entry's terms in the ring
     order.  The vectors are shared with callers, who must not mutate
-    them."""
+    them.  normal=True keeps columns already so stored and checked."""
 
     __slots__ = ("ring", "cols", "row_degrees", "col_degrees")
 
-    def __init__(self, ring: GradedRing, cols, row_degrees, col_degrees):
+    def __init__(self, ring: GradedRing, cols, row_degrees, col_degrees,
+                 normal=False):
         self.ring = ring
         self.row_degrees = tuple(row_degrees)
         self.col_degrees = tuple(col_degrees)
         cols = tuple(cols)
         if len(cols) != len(self.col_degrees):
             raise ValueError("column count does not match column degrees")
+        if normal:
+            self.cols = cols
+            return
         amb = ring.ambient
         nrows = len(self.row_degrees)
         checked = {}  # entry terms -> (normal form, degree), per build
@@ -361,13 +375,6 @@ class RingMatrix:
         cols = [{k: c0 * c % p for k, c0 in v.items()} for v in self.cols]
         return RingMatrix(self.ring, cols, self.row_degrees, self.col_degrees)
 
-    def transpose(self) -> "RingMatrix":
-        return RingMatrix(
-            self.ring, self.row_vecs(),
-            tuple(-d for d in self.col_degrees),
-            tuple(-d for d in self.row_degrees),
-        )
-
     def twist(self, d: int) -> "RingMatrix":
         return RingMatrix(self.ring, self.cols,
                           tuple(r - d for r in self.row_degrees),
@@ -437,10 +444,25 @@ def block_matrix(ring: GradedRing, placed, row_degrees,
     T (x) 1_n is [(column j of T, n, b) for each j, then b < n], and a
     block diagonal puts each block's columns at its row offset.  The cost
     grows with the number of nonzeros placed, not with the size of the
-    result."""
-    cols = [{(i * s + o, e): c for (i, e), c in v.items()}
-            for v, s, o in placed]
-    return RingMatrix(ring, cols, row_degrees, col_degrees)
+    result.  Each v is stored as RingMatrix columns are, which placing
+    keeps, so each entry's degree is read once per v and only checked."""
+    amb = ring.ambient
+    cols, degs = [], {}  # id(v) -> {row: entry degree}; placed keeps v alive
+    for j, ((v, s, o), cdeg) in enumerate(
+            zip(placed, col_degrees, strict=True)):
+        if id(v) not in degs:
+            degs[id(v)] = {i: amb.wdeg(e) for i, e in v}
+        for i, d in degs[id(v)].items():
+            r = i * s + o
+            if not 0 <= r < len(row_degrees):
+                raise ValueError(f"row {r} of column {j} is out of range")
+            want = cdeg - row_degrees[r]
+            if d != want:
+                f = amb.from_dict({e: c for (q, e), c in v.items() if q == i})
+                raise ValueError(
+                    f"entry ({r},{j}) = {f} has degree {d}, expected {want}")
+        cols.append({(i * s + o, e): c for (i, e), c in v.items()})
+    return RingMatrix(ring, cols, row_degrees, col_degrees, normal=True)
 
 
 def unit_pivots(R: GradedRing, rows):
@@ -602,9 +624,6 @@ class FPModule:
                        self.gen_degrees, gens))
         self._min = (N, proj_hom, inj_hom)
         return self._min
-
-    def minimal_gen_degrees(self):
-        return self.minimal()[0].gen_degrees
 
     def describe(self) -> dict:
         return {
@@ -815,10 +834,9 @@ def is_injective(phi: ModuleHom) -> bool:
 
 def is_surjective(phi: ModuleHom) -> bool:
     N = phi.target
-    span = IncrementalSpan(N.ring.ambient, phi.matrix.cols,
-                           reduced_seed=N.relgb.basis)
     zero = N.ring.ambient._zero_exps
-    return all(span.contains({(i, zero): 1}) for i in range(N.ngens))
+    return in_span(N.ring.ambient, N.relgb.basis, phi.matrix.cols,
+                   [{(i, zero): 1} for i in range(N.ngens)])
 
 
 def kernel(phi: ModuleHom):
@@ -903,9 +921,8 @@ def homology_is_zero(into: ModuleHom, outof: ModuleHom) -> bool:
     B = into.target
     if outof.source != B:
         raise ValueError("maps are not consecutive")
-    span = IncrementalSpan(B.ring.ambient, into.matrix.cols,
-                           reduced_seed=B.relgb.basis)
-    return all(span.contains(u) for u in kernel_generators(outof))
+    return in_span(B.ring.ambient, B.relgb.basis, into.matrix.cols,
+                   kernel_generators(outof))
 
 
 # ---------------------------------------------------------------------------

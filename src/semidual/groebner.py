@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+from operator import itemgetter
 
 from .polyring import (
     MonomialOrder,
@@ -44,6 +45,7 @@ __all__ = [
     "module_syzygies",
     "relative_kernel",
     "row_blocks",
+    "solve_blocks",
     "vec_from_poly",
     "vec_scale",
     "vec_lead",
@@ -70,14 +72,19 @@ def vec_scale(v: dict, c: int, p: int) -> dict:
 
 def vec_lead(v: dict, okey):
     """((row, exps), coeff) of the position-over-term leading term."""
-    best_k = None
+    it = iter(v)
+    best = next(it)
     best_key = None
-    for (row, exps) in v:
-        key = (-row, okey(exps))
-        if best_key is None or key > best_key:
-            best_key = key
-            best_k = (row, exps)
-    return best_k, v[best_k]
+    for k in it:
+        if k[0] < best[0]:
+            best, best_key = k, None
+        elif k[0] == best[0]:
+            if best_key is None:
+                best_key = okey(best[1])
+            key = okey(k[1])
+            if key > best_key:
+                best, best_key = k, key
+    return best, v[best]
 
 
 class _Engine:
@@ -281,26 +288,27 @@ class ModuleGB:
         eng.seed_reduced(reduced_seed)
         eng.add_generators(vectors)
         eng.saturate()
-        self.basis = eng.reduced_basis()
-        self.ring = ring
-        self.rank = rank
-        self._engine = _Engine(ring)
-        self._engine.seed_reduced(self.basis)
+        self.ring, self.rank, self.basis = ring, rank, eng.reduced_basis()
+        self._engine = None
 
     @classmethod
     def from_reduced(cls, ring: PolyRing, basis, rank: int) -> "ModuleGB":
         """Wrap vectors already known to form a reduced basis, e.g. the block
         union of reduced bases living in disjoint row blocks."""
         self = object.__new__(cls)
-        self.ring = ring
-        self.rank = rank
-        self.basis = list(basis)
-        self._engine = _Engine(ring)
-        self._engine.seed_reduced(self.basis)
+        self.ring, self.rank, self.basis = ring, rank, list(basis)
+        self._engine = None
         return self
 
+    def _reducer(self) -> _Engine:
+        """The basis in an engine, built on first use: most only seed runs."""
+        if self._engine is None:
+            self._engine = _Engine(self.ring)
+            self._engine.seed_reduced(self.basis)
+        return self._engine
+
     def nf(self, v: dict) -> dict:
-        return self._engine.reduce_full(v)
+        return self._reducer().reduce_full(v)
 
     def contains(self, v: dict) -> bool:
         return not self.nf(v)
@@ -309,7 +317,7 @@ class ModuleGB:
         """row -> list of leading exponent tuples, for standard-monomial
         enumeration in quotient presentations."""
         return {row: [exps for exps, _ in leads]
-                for row, leads in self._engine.by_row.items()}
+                for row, leads in self._reducer().by_row.items()}
 
 
 class IncrementalSpan:
@@ -410,17 +418,27 @@ def relative_kernel(ring: PolyRing, columns, seed, rank: int):
     blocks = row_blocks((seed, columns), rank)
     if blocks is None:
         return RelativeTracker(ring, columns, seed, rank).kernel_vectors()
+
+    def solve(nrows, bseed, bcols):
+        return RelativeTracker(ring, bcols, bseed,
+                               nrows - len(bcols)).kernel_vectors()
+    return [{(js[t], e): c for (t, e), c in u.items()}
+            for kern, js in solve_blocks(blocks, solve) for u in kern]
+
+
+def solve_blocks(blocks, solve):
+    """(solve(nrows, *families), indices) for each (key, indices) of
+    row_blocks, in order, with the families as lists of fresh dicts.  solve
+    runs once per distinct key and copies reuse its result; the memo lives
+    for one call.  Lazy, so a caller may stop at the first block it needs."""
     solved = {}
-    out = []
-    for key, js in blocks:
-        kern = solved.get(key)
-        if kern is None:
-            nrows, bseed, bcols = key
-            kern = solved[key] = RelativeTracker(
-                ring, [dict(v) for v in bcols], [dict(v) for v in bseed],
-                nrows - len(bcols)).kernel_vectors()
-        out += [{(js[t], e): c for (t, e), c in u.items()} for u in kern]
-    return out
+    for key, idx in blocks:
+        if key not in solved:
+            solved[key] = solve(key[0], *[
+                [dict(itertools.islice(items, n)) for n in lens]
+                for lens, rows, exps, coeffs in key[1:]
+                for items in [zip(zip(rows, exps), coeffs)]])
+        yield solved[key], idx
 
 
 def row_blocks(families, rank=None):
@@ -431,11 +449,11 @@ def row_blocks(families, rank=None):
     Returns None when the last family lies in one block.  Otherwise one
     (key, indices) per block holding a vector of the last family, in order
     of its first such vector; indices are the input indices of those
-    vectors.  key is (nrows, family_0, ..., family_last): each family lists
-    its vectors in the block, in input order, as tuples of items, with the
-    block's rows relabelled 0..nrows-1 in increasing order so that position-
-    over-term order is kept.  Blocks with equal keys are copies of one
-    another, and one engine run serves them all.
+    vectors.  key is (nrows, family_0, ..., family_last): each family holds
+    its vectors in the block, in input order, as flat (term counts, rows,
+    exponents, coefficients) tuples that builtins fill, with the block's
+    rows relabelled 0..nrows-1 in increasing order so that position-over-
+    term order is kept.  Blocks with equal keys are copies of one another.
 
     Pairs never cross rows and a reducer only touches rows of its own block,
     so an engine run over one block takes the same steps in the same
@@ -451,27 +469,31 @@ def row_blocks(families, rank=None):
             parent[r], r = root, parent[r]
         return root
 
+    def link(root, r):
+        """Put row r in the tree of row root (None: a tree of its own)."""
+        q = find(r) if r in parent else parent.setdefault(r, r)
+        if root is None:
+            return q
+        root = find(root)
+        if q != root:
+            parent[q] = root
+        return root
+
     last = len(families) - 1
     firsts = []
     for f, vecs in enumerate(families):
         fam_firsts = []
+        track = rank if f == last else None
         for i, v in enumerate(vecs):
-            rows = {r for r, _ in v}
-            if f == last and rank is not None:
-                rows.add(rank + i)
-            if not rows:
-                fam_firsts.append(None)
-                continue
-            r = rows.pop()
-            parent.setdefault(r, r)
-            if rows:
-                root = find(r)
-                for q in rows:
-                    parent.setdefault(q, q)
-                    q = find(q)
-                    if q != root:
-                        parent[q] = root
-            fam_firsts.append(r)
+            root = None
+            for r, _ in v:
+                if root is None:
+                    root = parent.setdefault(r, r)
+                elif r != root:
+                    root = link(root, r)
+            if track is not None:
+                root = link(root, track + i)
+            fam_firsts.append(root)
         firsts.append(fam_firsts)
     root_of = {r: find(r) for r in parent}
 
@@ -481,10 +503,13 @@ def row_blocks(families, rank=None):
             blocks.setdefault(root_of[r], []).append(i)
     if len(blocks) <= 1:
         return None
-    rows_of = {b: [] for b in blocks}
-    for r, b in root_of.items():
-        if b in rows_of:
-            rows_of[b].append(r)
+    new = {}  # row -> its index in its block
+    size = dict.fromkeys(blocks, 0)
+    for r in sorted(root_of):
+        b = root_of[r]
+        if b in size:
+            new[r] = size[b]
+            size[b] += 1
     members = {b: [[] for _ in families] for b in blocks}
     for f, (vecs, fam_firsts) in enumerate(zip(families, firsts)):
         for v, r in zip(vecs, fam_firsts):
@@ -494,13 +519,15 @@ def row_blocks(families, rank=None):
                     m[f].append(v)
     out = []
     for b, idx in blocks.items():
-        rows = sorted(rows_of[b])
-        new = dict(zip(rows, range(len(rows))))
-        key = (len(rows),) + tuple(
-            tuple([tuple([((new[r], e), c) for (r, e), c in v.items()])
-                   for v in vecs])
-            for vecs in members[b])
-        out.append((key, idx))
+        key = [size[b]]
+        for vecs in members[b]:
+            terms = list(itertools.chain.from_iterable(vecs))
+            key.append((tuple(map(len, vecs)),
+                        tuple(map(new.__getitem__, map(itemgetter(0), terms))),
+                        tuple(map(itemgetter(1), terms)),
+                        tuple(itertools.chain.from_iterable(
+                            map(dict.values, vecs)))))
+        out.append((tuple(key), idx))
     return out
 
 

@@ -336,8 +336,10 @@ def koszul_boundary(M: FPModule, i: int) -> ModuleHom:
     cols = [{(prev_index[s[:pos] + s[pos + 1:]], var[j]):
              1 if pos % 2 == 0 else -1 for pos, j in enumerate(s)}
             for s in subsets]
+    free = RingMatrix(R, cols, [wsum(s) for s in prev],
+                      [wsum(s) for s in subsets])
     nM = M.ngens
-    mat = block_matrix(R, [(v, nM, a) for v in cols for a in range(nM)],
+    mat = block_matrix(R, [(v, nM, a) for v in free.cols for a in range(nM)],
                        tgt.gen_degrees, src.gen_degrees)
     return ModuleHom(src, tgt, mat)
 

@@ -170,10 +170,6 @@ class MonomialOrder:
             return (sum(e), e)
         return e
 
-    @property
-    def degree_compatible(self) -> bool:
-        return self.kind != "lex"
-
     def __eq__(self, other):
         return (
             isinstance(other, MonomialOrder)
@@ -251,9 +247,6 @@ class PolyRing:
         keys = self.order.keys
         items.sort(key=lambda t: keys[t[0]], reverse=True)
         return Polynomial(self, tuple(items))
-
-    def from_string(self, text: str) -> "Polynomial":
-        return parse_polynomial(text, self)
 
     def monomials_of_wdeg(self, d: int):
         """All exponent tuples of weighted degree exactly d, sorted descending

@@ -1,5 +1,6 @@
 """Command line behaviour: subcommands, output formats, exit codes."""
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -212,6 +213,16 @@ def test_corpus_json_deterministic(capsys):
     assert summary["all_passed"] is True
     assert summary["entries"][0]["name"] == "poly-x"
     assert summary["entries"][0]["config"] == {"seed": 0, "ext_bound": 4}
+
+
+def test_corpus_json_is_byte_identical_to_the_pinned_digest(monkeypatch,
+                                                            capsys):
+    # The full bundled corpus report, as pinned across every refactor.
+    monkeypatch.delenv("SEMIDUAL_EXT_BOUND", raising=False)
+    assert main(["corpus", "--json"]) == EXIT_OK
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == (
+        "77d61c3c0e4c874b724e704e40c1169a77d1fc9fdb66f5fb75f9dea6ab8e8511")
 
 
 def test_corpus_wrong_expectation_fixture(capsys):

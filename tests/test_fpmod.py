@@ -5,8 +5,8 @@ import random
 import pytest
 
 from semidual import fpmod
-from semidual.polyring import PolyRing, PrimeField
-from semidual.groebner import GradedRing, IncrementalSpan, ModuleGB
+from semidual.polyring import PolyRing, PrimeField, mono_mul
+from semidual.groebner import GradedRing, IncrementalSpan, ModuleGB, row_blocks
 from semidual.fpmod import (
     FPModule,
     HomModule,
@@ -354,6 +354,26 @@ def test_matrix_equality_and_hash_do_not_depend_on_the_build(omega):
     assert by_cols.entries[1][3] == x * z
 
 
+def test_block_matrix_equals_the_normal_forming_build(all_corpus):
+    """block_matrix keeps the placed columns as given; they must equal,
+    storage order included, what __init__ builds from the same vectors."""
+    for corp in all_corpus:
+        R = corp.ring
+        for rel in (corp.C.relations, corp.k.relations):
+            twists = (0, 2)
+            n = len(twists)
+            placed = [(v, n, b) for v in rel.row_vecs() for b in range(n)]
+            rdegs = [t - d for d in rel.col_degrees for t in twists]
+            cdegs = [t - d for d in rel.row_degrees for t in twists]
+            got = fpmod.block_matrix(R, placed, rdegs, cdegs)
+            want = RingMatrix(
+                R, [{(i * s + o, e): c for (i, e), c in v.items()}
+                    for v, s, o in placed], rdegs, cdegs)
+            assert got == want, corp.name
+            assert [list(v.items()) for v in got.cols] == \
+                [list(v.items()) for v in want.cols]
+
+
 def test_wrong_degree_entry_is_rejected(omega):
     S, R, W = omega
     x = S.variable(0)
@@ -428,3 +448,168 @@ def test_min_generate_columns_skips_zero_extra_vectors(plane):
         got = fpmod.min_generate_columns(R, cols, (0, 0), extra)
         assert got == _one_span_pass(R, cols, (0, 0), extra, None)
     assert fpmod.min_generate_columns(R, cols, (0, 0), [{}]) == want
+
+
+# -- membership one row block at a time ---------------------------------
+
+def _one_span(amb, seed, gens, vecs):
+    """in_span as one span over everything."""
+    span = IncrementalSpan(amb, gens, reduced_seed=seed)
+    return all(span.contains(u) for u in vecs)
+
+
+def _module_on(R, seed, rdegs):
+    """The module on generators of degrees rdegs related by seed."""
+    cdegs = [fpmod.column_degree(R.ambient, v, rdegs) for v in seed]
+    return FPModule(R, rdegs, RingMatrix(R, seed, rdegs, cdegs))
+
+
+def _hom_onto(R, cols, target):
+    """The map from a free module to target given by the columns; a zero
+    column gets degree 0."""
+    cdegs = [fpmod.column_degree(R.ambient, v, target.gen_degrees)
+             for v in cols]
+    cdegs = [0 if d is None else d for d in cdegs]
+    mat = RingMatrix(R, cols, target.gen_degrees, cdegs)
+    return ModuleHom(free_module(R, cdegs), target, mat)
+
+
+def _exact_pair(R, seed, cols, rdegs):
+    """(into, outof), exact at the middle: outof is given by the columns
+    and into is the inclusion of its kernel."""
+    outof = _hom_onto(R, cols, _module_on(R, seed, rdegs))
+    return kernel(outof)[1], outof
+
+
+def _onto_block(R, rng):
+    """A random block whose columns include every unit vector."""
+    seed, cols, rdegs = random_block(R, rng)
+    zero = R.ambient._zero_exps
+    return seed, cols + [{(i, zero): 1} for i in range(len(rdegs))], rdegs
+
+
+def _append_block(placed, block):
+    """block_diagonal's output with one more block whose rows and columns
+    come after all others, so that its block is decided last."""
+    seed, cols, rdegs, zero_col = placed
+    bseed, bcols, brdegs = block
+    off = len(rdegs)
+
+    def move(v):
+        return {(r + off, e): c for (r, e), c in v.items()}
+
+    return (seed + [move(v) for v in bseed], cols + [move(v) for v in bcols],
+            rdegs + brdegs, zero_col)
+
+
+def _times_x_from(R, into, start):
+    """into with each column that lives in rows >= start multiplied by the
+    first variable, so that its image there is no longer all of the
+    kernel."""
+    amb = R.ambient
+    x = amb.variable(0).terms[0][0]
+    cols, cdegs = [], []
+    for v, d in zip(into.matrix.cols, into.matrix.col_degrees):
+        if min(r for r, _ in v) >= start:
+            v = {(r, mono_mul(e, x)): c for (r, e), c in v.items()}
+            d += amb.wdeg(x)
+        cols.append(v)
+        cdegs.append(d)
+    F = into.target
+    mat = RingMatrix(R, cols, F.gen_degrees, cdegs)
+    return ModuleHom(free_module(R, cdegs), F, mat)
+
+
+def test_is_surjective_by_blocks_matches_one_span(all_corpus):
+    """Onto blocks with a copy and a zero column are onto; one block that
+    is not, decided last, makes the verdict False."""
+    for corp in all_corpus:
+        R = corp.ring
+        amb = R.ambient
+        for case in range(2):
+            rng = random.Random(f"onto-{corp.name}-{case}")
+            onto = [_onto_block(R, rng) for _ in range(2)]
+            placed = block_diagonal(onto + [onto[0]], rng)
+            for last in (None, random_block(R, rng)):
+                seed, cols, rdegs, _ = (placed if last is None
+                                        else _append_block(placed, last))
+                phi = _hom_onto(R, cols, _module_on(R, seed, rdegs))
+                units = [{(i, amb._zero_exps): 1} for i in range(len(rdegs))]
+                want = _one_span(amb, phi.target.relgb.basis,
+                                 phi.matrix.cols, units)
+                assert is_surjective(phi) == want == (last is None), \
+                    (corp.name, case)
+
+
+def test_homology_is_zero_by_blocks_matches_one_span(all_corpus):
+    """A kernel inclusion is exact across blocks with a copy and a zero
+    column; shrinking its image in the block decided last is not."""
+    for corp in all_corpus:
+        R = corp.ring
+        amb = R.ambient
+        for case in range(2):
+            rng = random.Random(f"exact-{corp.name}-{case}")
+            blocks = [random_block(R, rng) for _ in range(2)]
+            placed = block_diagonal(blocks + [blocks[0]], rng)
+            for last in (None, random_block(R, rng)):
+                seed, cols, rdegs, _ = (placed if last is None
+                                        else _append_block(placed, last))
+                into, outof = _exact_pair(R, seed, cols, rdegs)
+                if last is not None:
+                    into = _times_x_from(R, into, len(placed[1]))
+                want = _one_span(amb, into.target.relgb.basis,
+                                 into.matrix.cols,
+                                 fpmod.kernel_generators(outof))
+                assert homology_is_zero(into, outof) == want == \
+                    (last is None), (corp.name, case)
+
+
+def test_membership_decides_identical_blocks_once(monkeypatch, omega):
+    _, R, _ = omega
+    rng = random.Random(31)
+    seed, cols, rdegs, _ = block_diagonal([random_block(R, rng)] * 3, rng)
+    into, outof = _exact_pair(R, seed, cols, rdegs)
+    kers = fpmod.kernel_generators(outof)
+    exact_blocks = row_blocks((into.target.relgb.basis, into.matrix.cols,
+                               kers))
+    seed, cols, rdegs, _ = block_diagonal([_onto_block(R, rng)] * 3, rng)
+    phi = _hom_onto(R, cols, _module_on(R, seed, rdegs))
+    phi.target.relgb
+    built = []
+
+    class Counted(IncrementalSpan):
+        def __init__(self, *args, **kw):
+            built.append(args)
+            super().__init__(*args, **kw)
+
+    monkeypatch.setattr(fpmod, "IncrementalSpan", Counted)
+    assert is_surjective(phi)
+    assert len(built) == 1
+    built.clear()
+    assert homology_is_zero(into, outof)
+    assert len(built) == len({key for key, _ in exact_blocks}) \
+        < len(exact_blocks)
+
+
+def test_membership_in_one_block_takes_the_unsplit_path(monkeypatch, plane):
+    S, R = plane
+    x, y = S.variable(0), S.variable(1)
+    F1 = free_module(R, (1, 1))
+    d1 = ModuleHom.from_entries(F1, free_module(R, (0,)), [[x, y]])
+    d2 = ModuleHom.from_entries(free_module(R, (2,)), F1, [[y], [-x]])
+    built = []
+
+    class Counted(IncrementalSpan):
+        def __init__(self, *args, **kw):
+            built.append(args)
+            super().__init__(*args, **kw)
+
+    def no_split(*args):
+        pytest.fail("one block took the split path")
+
+    monkeypatch.setattr(fpmod, "IncrementalSpan", Counted)
+    monkeypatch.setattr(fpmod, "solve_blocks", no_split)
+    assert homology_is_zero(d2, d1)
+    assert not is_surjective(d1)
+    assert [args[1] for args in built] == [d2.matrix.cols, d1.matrix.cols]
+    assert built[0][1] is d2.matrix.cols and built[1][1] is d1.matrix.cols
