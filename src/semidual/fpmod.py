@@ -378,7 +378,7 @@ class RingMatrix:
     def twist(self, d: int) -> "RingMatrix":
         return RingMatrix(self.ring, self.cols,
                           tuple(r - d for r in self.row_degrees),
-                          tuple(c - d for c in self.col_degrees))
+                          tuple(c - d for c in self.col_degrees), normal=True)
 
     def stack_cols(self, other: "RingMatrix") -> "RingMatrix":
         """[self | other]; row degrees must agree."""
@@ -403,12 +403,6 @@ class RingMatrix:
     @property
     def is_zero_matrix(self) -> bool:
         return not any(self.cols)
-
-    def entries_in_maximal_ideal(self) -> bool:
-        """True when no entry has a unit part; the defining property of a
-        minimal presentation matrix."""
-        zero = self.ring.ambient._zero_exps
-        return all(e != zero for v in self.cols for _, e in v)
 
     def __eq__(self, other):
         return (
@@ -788,7 +782,7 @@ def scalar_hom(M: FPModule, f: Polynomial) -> ModuleHom:
         d = 0
     cols = [{(j, e): c for e, c in f.terms} for j in range(M.ngens)]
     mat = RingMatrix(M.ring, cols, M.gen_degrees,
-                     tuple(g + d for g in M.gen_degrees))
+                     tuple(g + d for g in M.gen_degrees), normal=True)
     return ModuleHom(M, M, mat, d)
 
 

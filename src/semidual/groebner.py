@@ -34,7 +34,6 @@ __all__ = [
     "GroebnerBasis",
     "GradedRing",
     "buchberger",
-    "normal_form",
     "ideal_dimension",
     "radical_membership",
     "ideal_colon_element",
@@ -42,7 +41,6 @@ __all__ = [
     "ModuleGB",
     "RelativeTracker",
     "IncrementalSpan",
-    "module_syzygies",
     "relative_kernel",
     "row_blocks",
     "solve_blocks",
@@ -344,11 +342,6 @@ class IncrementalSpan:
         return not self._eng.reduce_full(v)
 
 
-def module_syzygies(ring: PolyRing, columns, rank: int):
-    """Generators of the syzygy module of the given columns of S^rank."""
-    return relative_kernel(ring, columns, (), rank)
-
-
 class RelativeTracker:
     """Tracked Groebner run relative to a pre-reduced seed basis.
 
@@ -579,39 +572,19 @@ class GroebnerBasis:
         return f"GroebnerBasis({len(self.gens)} gens over {self.ring!r})"
 
 
-def buchberger(gens, ring: PolyRing | None = None,
-               order: MonomialOrder | None = None) -> GroebnerBasis:
-    """Reduced Groebner basis of the ideal generated by `gens`.
-
-    If `order` differs from the ring's active order, the basis lives in a
-    reordered copy of the ring; normal_form maps elements across.
-    """
+def buchberger(gens, ring: PolyRing | None = None) -> GroebnerBasis:
+    """Reduced Groebner basis of the ideal generated by `gens`, under the
+    ring's order."""
     gens = [g for g in gens if not g.is_zero]
     if ring is None:
         if not gens:
             raise ValueError("empty generator list needs an explicit ring")
         ring = gens[0].ring
-    if order is None or order == ring.order:
-        work = ring
-        wgens = gens
-        order = ring.order
-    else:
-        work = PolyRing(ring.field, ring.names, ring.weights, order)
-        wgens = [work.from_dict(dict(g.terms)) for g in gens]
-    eng = _Engine(work, use_product=True)
-    eng.add_generators(vec_from_poly(g) for g in wgens)
+    eng = _Engine(ring, use_product=True)
+    eng.add_generators(vec_from_poly(g) for g in gens)
     eng.saturate()
-    basis = [vec_to_poly(v, work) for v in eng.reduced_basis()]
-    return GroebnerBasis(work, basis, order, _reduced=True)
-
-
-def normal_form(f: Polynomial, G: GroebnerBasis) -> Polynomial:
-    """Unique remainder of f modulo G; the canonical representative in the
-    quotient ring."""
-    if G.ring == f.ring:
-        return G.nf(f)
-    rem = G.nf(G.ring.from_dict(dict(f.terms)))
-    return f.ring.from_dict(dict(rem.terms))
+    basis = [vec_to_poly(v, ring) for v in eng.reduced_basis()]
+    return GroebnerBasis(ring, basis, ring.order, _reduced=True)
 
 
 def ideal_dimension(G: GroebnerBasis) -> int:
@@ -660,7 +633,7 @@ def ideal_colon_element(G: GroebnerBasis, f: Polynomial) -> GroebnerBasis:
         # (I : 0) = whole ring
         return buchberger([ring.one()], ring=ring)
     cols = [vec_from_poly(f)] + [vec_from_poly(g) for g in G.gens]
-    syz = module_syzygies(ring, cols, 1)
+    syz = relative_kernel(ring, cols, (), 1)
     quot = []
     for s in syz:
         a = ring.from_dict({e: c for (j, e), c in s.items() if j == 0})
@@ -682,7 +655,7 @@ def ideal_intersection(G1: GroebnerBasis, G2: GroebnerBasis) -> GroebnerBasis:
     cols += [{(0, e): c for e, c in g.terms} for g in G1.gens]
     cols += [{(1, e): c for e, c in g.terms} for g in G2.gens]
     gens = []
-    for s in module_syzygies(ring, cols, 2):
+    for s in relative_kernel(ring, cols, (), 2):
         f = ring.from_dict({e: c for (j, e), c in s.items() if j == 0})
         if not f.is_zero:
             gens.append(f)
@@ -730,10 +703,6 @@ class GradedRing:
     def nf(self, f: Polynomial) -> Polynomial:
         return self.ideal.nf(f)
 
-    def is_unit(self, f: Polynomial) -> bool:
-        g = self.nf(f)
-        return (not g.is_zero) and len(g.terms) == 1 and not any(g.terms[0][0])
-
     @property
     def dimension(self) -> int:
         if self._dim is None:
@@ -755,13 +724,12 @@ class GradedRing:
     def colon_by(self, f: Polynomial) -> GroebnerBasis:
         return ideal_colon_element(self.ideal, f)
 
-    def is_ring_nzd(self, f: Polynomial) -> bool:
-        """True if f is a nonzerodivisor on R, i.e. (I : f) = I."""
-        f = self.nf(f)
-        if f.is_zero:
-            return False
-        colon = self.colon_by(f)
-        return all(self.ideal.contains(g) for g in colon.gens)
+    def zerodivisor_witness(self, f: Polynomial):
+        """None when f is a nonzerodivisor on R, that is (I : f) = I; else
+        a generator g of (I : f) outside I, so g*f = 0 and g != 0 in R."""
+        colon = self.colon_by(self.nf(f))
+        return next((g for g in colon.gens if not self.ideal.contains(g)),
+                    None)
 
     def quotient_by(self, x: Polynomial, name=None) -> "GradedRing":
         """The ring R/(x) for homogeneous x, as a graded quotient of the same

@@ -56,13 +56,13 @@ __all__ = [
     "ext_module",
     "first_nonvanishing_ext",
     "ext_is_zero",
-    "ext_dim_k",
     "depth",
     "depth_koszul",
     "DepthResult",
     "depth_with_witness",
     "koszul_boundary",
     "module_dimension",
+    "homogeneous_candidates",
     "regular_sequence_search",
     "base_change_matrix",
     "base_change_module",
@@ -126,9 +126,6 @@ class Resolution:
     def known_length(self) -> int:
         return len(self.maps)
 
-    def is_minimal(self) -> bool:
-        return all(m.entries_in_maximal_ideal() for m in self.maps)
-
 
 def free_resolution(M: FPModule, length: int) -> Resolution:
     """The cached minimal free resolution of M, extended to the requested
@@ -163,7 +160,7 @@ def projective_dimension(M: FPModule, bound: int) -> int:
 class ChainComplex:
     """modules[0..L] with boundaries maps[i]: modules[i] -> modules[i-1]."""
 
-    def __init__(self, modules, maps, check: bool = True):
+    def __init__(self, modules, maps):
         self.modules = list(modules)
         self.maps = list(maps)
         if len(self.maps) != max(len(self.modules) - 1, 0):
@@ -171,11 +168,10 @@ class ChainComplex:
         for i, d in enumerate(self.maps, start=1):
             if d.source != self.modules[i] or d.target != self.modules[i - 1]:
                 raise ValueError(f"boundary {i} does not match its modules")
-        if check:
-            for i in range(1, len(self.maps)):
-                comp = self.maps[i - 1].compose(self.maps[i])
-                if not comp.is_zero_hom():
-                    raise ValueError(f"d_{i} . d_{i + 1} is not zero")
+        for i in range(1, len(self.maps)):
+            comp = self.maps[i - 1].compose(self.maps[i])
+            if not comp.is_zero_hom():
+                raise ValueError(f"d_{i} . d_{i + 1} is not zero")
 
     @property
     def length(self) -> int:
@@ -213,7 +209,7 @@ def resolution_complex(res: Resolution, length: int) -> ChainComplex:
     mods = [free_module(R, res.degrees(i)) for i in range(top + 1)]
     maps = [ModuleHom(mods[i], mods[i - 1], res.maps[i - 1])
             for i in range(1, top + 1)]
-    return ChainComplex(mods, maps, check=False)
+    return ChainComplex(mods, maps)
 
 
 # ---------------------------------------------------------------------------
@@ -297,13 +293,6 @@ def ext_is_zero(M: FPModule, N: FPModule, i: int) -> bool:
     return first_nonvanishing_ext(M, N, i, i) is None
 
 
-def ext_dim_k(M: FPModule, i: int) -> int:
-    """dim_k Ext^i(M, k).  The maximal ideal kills this module, so the
-    dimension is its number of minimal generators."""
-    E = ext_module(M, residue_field_module(M.ring), i)
-    return E.minimal()[0].ngens
-
-
 # ---------------------------------------------------------------------------
 # Depth, two ways.
 
@@ -378,40 +367,41 @@ def module_dimension(M: FPModule) -> int:
     return ideal_dimension(annihilator(M))
 
 
+def homogeneous_candidates(amb, classes, rng, tries: int):
+    """Homogeneous candidates of the ambient ring, drawn lazily class by
+    class.  Each class is a list of exponent tuples of one degree: its
+    monomials come first, then, when it holds two or more, `tries`
+    combinations of them with coefficients drawn from rng in the class's
+    order, the zero ones skipped.  A consumer that stops early draws
+    nothing more, so a seeded search is reproducible."""
+    p = amb.field.p
+    for monos in classes:
+        for e in monos:
+            yield amb.monomial(e)
+        if len(monos) > 1:
+            for _ in range(tries):
+                f = amb.from_dict({e: rng.randrange(p) for e in monos})
+                if not f.is_zero:
+                    yield f
+
+
 def regular_sequence_search(M: FPModule, degree_bound: int = 4,
                             seed: int = 0, random_tries: int = 64,
                             length=None):
     """Greedy M-regular sequence of homogeneous elements, stopping at the
     given length or, without one, when no candidate is regular.
 
-    Candidates are scanned in a fixed order: all standard monomials of each
-    degree 1..degree_bound, then seeded random combinations within the degree,
-    so runs are reproducible.  Returns (sequence, final quotient)."""
+    Each step scans homogeneous_candidates over the standard monomials of
+    degrees 1..degree_bound, with one seeded rng for the whole search, so
+    runs are reproducible.  Returns (sequence, final quotient)."""
     R = M.ring
     rng = random.Random(seed)
     seq = []
     current = M
     while len(seq) != length and not current.is_zero_module():
-        found = None
-        for d in range(1, degree_bound + 1):
-            monos = R.std_monomials(d)
-            for e in monos:
-                f = R.ambient.monomial(e)
-                if is_nzd_on(current, f):
-                    found = f
-                    break
-            if found is None and len(monos) > 1:
-                for _ in range(random_tries):
-                    f = R.ambient.zero()
-                    for e in monos:
-                        c = rng.randrange(R.field.p)
-                        if c:
-                            f = f + R.ambient.monomial(e, c)
-                    if not f.is_zero and is_nzd_on(current, f):
-                        found = f
-                        break
-            if found is not None:
-                break
+        classes = (R.std_monomials(d) for d in range(1, degree_bound + 1))
+        cands = homogeneous_candidates(R.ambient, classes, rng, random_tries)
+        found = next((f for f in cands if is_nzd_on(current, f)), None)
         if found is None:
             break
         seq.append(found)

@@ -11,7 +11,6 @@ total degree.
 
 from __future__ import annotations
 
-import itertools
 from operator import add, le, neg, sub
 
 __all__ = [
@@ -20,8 +19,6 @@ __all__ = [
     "PolyRing",
     "Polynomial",
     "PolyParseError",
-    "leading_term",
-    "hilbert_numerator",
     "parse_polynomial",
     "mono_mul",
     "mono_div",
@@ -30,9 +27,7 @@ __all__ = [
     "mono_degree",
     "intpoly_add",
     "intpoly_sub",
-    "intpoly_mul",
     "intpoly_shift",
-    "intpoly_str",
 ]
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -74,18 +69,6 @@ class PrimeField:
 
     def normalize(self, a: int) -> int:
         return a % self.p
-
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.p
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.p
-
-    def mul(self, a: int, b: int) -> int:
-        return a * b % self.p
-
-    def neg(self, a: int) -> int:
-        return -a % self.p
 
     def inv(self, a: int) -> int:
         a %= self.p
@@ -464,19 +447,6 @@ class Polynomial:
 
 
 # ---------------------------------------------------------------------------
-# Convenience wrappers.
-
-def leading_term(f: Polynomial, order: MonomialOrder | None = None):
-    """(coefficient, monomial) leading f under `order` (ring order if None)."""
-    if f.is_zero:
-        raise ValueError("zero polynomial has no leading term")
-    if order is None or order == f.ring.order:
-        return f.leading()
-    best = max(f.terms, key=lambda t: order.keys[t[0]])
-    return best[1], best[0]
-
-
-# ---------------------------------------------------------------------------
 # Integer polynomials in one variable t, as {degree: coeff} dicts.  Used for
 # Hilbert numerators.
 
@@ -495,49 +465,8 @@ def intpoly_sub(a: dict, b: dict) -> dict:
     return intpoly_add(a, {d: -c for d, c in b.items()})
 
 
-def intpoly_mul(a: dict, b: dict) -> dict:
-    out = {}
-    for d1, c1 in a.items():
-        for d2, c2 in b.items():
-            d = d1 + d2
-            nc = out.get(d, 0) + c1 * c2
-            if nc:
-                out[d] = nc
-            else:
-                out.pop(d, None)
-    return out
-
-
 def intpoly_shift(a: dict, s: int) -> dict:
     return {d + s: c for d, c in a.items()}
-
-
-def intpoly_str(a: dict) -> str:
-    if not a:
-        return "0"
-    parts = []
-    for d in sorted(a):
-        c = a[d]
-        if d == 0:
-            parts.append(str(c))
-        else:
-            mono = "t" if d == 1 else f"t^{d}"
-            if c == 1:
-                parts.append(mono)
-            elif c == -1:
-                parts.append(f"-{mono}")
-            else:
-                parts.append(f"{c}*{mono}")
-    text = " + ".join(parts)
-    return text.replace("+ -", "- ")
-
-
-def hilbert_numerator(degrees) -> dict:
-    """Generating polynomial sum_d t^d over a multiset of generator degrees."""
-    out = {}
-    for d in degrees:
-        out[d] = out.get(d, 0) + 1
-    return out
 
 
 # ---------------------------------------------------------------------------

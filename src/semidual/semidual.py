@@ -54,8 +54,10 @@ from .homalg import (
     ext_module,
     first_nonvanishing_ext,
     free_resolution,
+    homogeneous_candidates,
     module_dimension,
     projective_dimension,
+    resolution_complex,
 )
 
 __all__ = [
@@ -75,7 +77,6 @@ __all__ = [
     "reduce_by_nzd",
     "verify_ab",
     "corollary_suite",
-    "extend_regular_sequence",
 ]
 
 
@@ -469,11 +470,7 @@ def c_resolution(C: FPModule, Y: FPModule, max_length=None) -> CResolution:
             bound=max_length)
     res = free_resolution(h, length)
     hm = h.minimal()[0]
-
-    frees = [free_module(R, res.degrees(i)) for i in range(length + 1)]
-    fmaps = [ModuleHom(frees[i + 1], frees[i], res.maps[i])
-             for i in range(length)]
-    base = ChainComplex(frees, fmaps)
+    base = resolution_complex(res, length)
 
     powers = [power_with_twists(C, [-d for d in res.degrees(i)])
               for i in range(length + 1)]
@@ -564,16 +561,6 @@ def c_dimension(C: FPModule, Y: FPModule, bound=None) -> int:
 # ---------------------------------------------------------------------------
 # Nonzerodivisor reduction.
 
-def _ring_nzd_or_witness(R: GradedRing, x: Polynomial):
-    """None when x is a nonzerodivisor on R, else a witness g with
-    g*x = 0, g != 0 in R."""
-    colon = R.colon_by(x)
-    for g in colon.gens:
-        if not R.ideal.contains(g):
-            return g
-    return None
-
-
 def reduce_by_nzd(ring: GradedRing, C: FPModule, x: Polynomial,
                   ext_bound=None):
     """Pass the certificate down a quotient by a nonzerodivisor.
@@ -587,7 +574,7 @@ def reduce_by_nzd(ring: GradedRing, C: FPModule, x: Polynomial,
     d = x.homogeneous_degree()
     if d is None or d <= 0:
         raise ValueError("need a homogeneous element of positive degree")
-    g = _ring_nzd_or_witness(ring, x)
+    g = ring.zerodivisor_witness(x)
     if g is not None:
         raise ValueError(
             f"{x} is a zerodivisor on the ring: ({x}) kills {g}, which is "
@@ -705,13 +692,13 @@ def verify_ab(C: FPModule, Y: FPModule, ext_bound=None, pd_bound=None,
     cur_ring = R
     cur_Y = Y
     cur_h = H.module.minimal()[0]
-    pd_cur = projective_dimension(cur_h, pd_bound)
+    pd_cur = pd_hom
     steps = []
     for x in depth_Y.witness:
         if not is_nzd_on(cur_Y, x):
             raise VerificationError(
                 f"replay: {x} is a zerodivisor on the reduced test module")
-        g = _ring_nzd_or_witness(cur_ring, x)
+        g = cur_ring.zerodivisor_witness(x)
         if g is not None:
             raise VerificationError(
                 f"replay: {x} is a zerodivisor in the ring, witness {g}")
@@ -822,29 +809,20 @@ def _nzd_transfer_sample(R, Y, hm, seed, random_per_class, degree_cap):
     """Sample homogeneous elements and compare zerodivisor behavior on Y
     and on the Hom module; disagreements are collected verbatim."""
     amb = R.ambient
-    p = R.field.p
-    rng = random.Random(seed)
     classes = {}
     for e in _exponents_up_to(amb.nvars, degree_cap):
-        d = amb.wdeg(e)
-        classes.setdefault(d, []).append(e)
+        classes.setdefault(amb.wdeg(e), []).append(e)
     samples = 0
     mismatches = []
-    for d in sorted(classes):
-        monos = classes[d]
-        cands = [amb.monomial(e) for e in monos]
-        for _ in range(random_per_class):
-            f = amb.zero()
-            for e in monos:
-                f = f + amb.monomial(e, rng.randrange(p))
-            cands.append(f)
-        for f in cands:
-            fn = R.nf(f)
-            if fn.is_zero:
-                continue
-            samples += 1
-            if is_nzd_on(Y, fn) != is_nzd_on(hm, fn):
-                mismatches.append(str(fn))
+    for f in homogeneous_candidates(
+            amb, (classes[d] for d in sorted(classes)),
+            random.Random(seed), random_per_class):
+        fn = R.nf(f)
+        if fn.is_zero:
+            continue
+        samples += 1
+        if is_nzd_on(Y, fn) != is_nzd_on(hm, fn):
+            mismatches.append(str(fn))
     return {
         "samples": samples,
         "degree_classes": len(classes),
@@ -867,84 +845,3 @@ def _exponents_up_to(nvars: int, cap: int):
 
     rec(0, cap, [])
     return out
-
-
-# ---------------------------------------------------------------------------
-# Regular sequence extension.
-
-def extend_regular_sequence(C: FPModule, Y: FPModule, seq,
-                            degree_bound: int = 4, seed: int = 0,
-                            random_tries: int = 64):
-    """Extend a regular sequence on Y to a maximal one on C that stays
-    regular in the ring.
-
-    Every element of seq is verified to be a nonzerodivisor step by step
-    on Y, on C and on the ring (with colon witnesses on failure).  The
-    extension is searched degree by degree over standard monomials and
-    seeded random combinations, accepting only elements regular both on
-    the current quotient of C and in the current quotient ring, until the
-    total length reaches depth C.  Returns (sequence, report)."""
-    R = C.ring
-    if Y.is_zero_module():
-        raise ValueError("the zero module admits no regular sequence")
-    c_dimension(C, Y)  # finite C-dimension is part of the contract
-    depth_c = depth(C)
-
-    cur_Y, cur_C, cur_ring = Y, C, R
-    verified = []
-    for x in seq:
-        x = R.nf(x)
-        if not is_nzd_on(cur_Y, x):
-            raise ValueError(
-                f"{x} is a zerodivisor on the test module at step "
-                f"{len(verified)}")
-        if not is_nzd_on(cur_C, x):
-            raise ValueError(f"{x} is a zerodivisor on C at step "
-                             f"{len(verified)}")
-        g = _ring_nzd_or_witness(cur_ring, x)
-        if g is not None:
-            raise ValueError(
-                f"{x} is a zerodivisor in the ring, witness {g}")
-        cur_Y = quotient_by_element(cur_Y, x)
-        cur_C = quotient_by_element(cur_C, x).minimal()[0]
-        cur_ring = cur_ring.quotient_by(x)
-        verified.append(x)
-
-    extension = []
-    rng = random.Random(seed)
-    while len(verified) + len(extension) < depth_c:
-        found = None
-        for d in range(1, degree_bound + 1):
-            monos = R.std_monomials(d)
-            cands = [R.ambient.monomial(e) for e in monos]
-            if len(monos) > 1:
-                p = R.field.p
-                for _ in range(random_tries):
-                    f = R.ambient.zero()
-                    for e in monos:
-                        f = f + R.ambient.monomial(e, rng.randrange(p))
-                    cands.append(f)
-            for f in cands:
-                fn = R.nf(f)
-                if fn.is_zero or not fn.is_homogeneous():
-                    continue
-                if (is_nzd_on(cur_C, fn)
-                        and _ring_nzd_or_witness(cur_ring, fn) is None):
-                    found = fn
-                    break
-            if found is not None:
-                break
-        if found is None:
-            raise TruncationError(
-                f"no extension element found within degree bound "
-                f"{degree_bound}", bound=degree_bound)
-        cur_C = quotient_by_element(cur_C, found).minimal()[0]
-        cur_ring = cur_ring.quotient_by(found)
-        extension.append(found)
-
-    report = {
-        "verified_on_Y": [str(x) for x in verified],
-        "extension": [str(x) for x in extension],
-        "target_length": depth_c,
-    }
-    return list(verified) + extension, report
