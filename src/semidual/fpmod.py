@@ -24,7 +24,6 @@ from .groebner import (
     ModuleGB,
     RelativeTracker,
     buchberger,
-    ideal_intersection,
     relative_kernel,
     row_blocks,
     solve_blocks,
@@ -44,6 +43,8 @@ __all__ = [
     "power_with_twists",
     "tensor_product",
     "kernel",
+    "kernel_columns",
+    "submodule",
     "kernel_generators",
     "syzygies",
     "minimal_generators",
@@ -833,32 +834,40 @@ def is_surjective(phi: ModuleHom) -> bool:
                    [{(i, zero): 1} for i in range(N.ngens)])
 
 
+def kernel_columns(phi: ModuleHom):
+    """(columns, degrees): minimal generators of the kernel of phi, as
+    vectors over the source's free cover in increasing degree.  Greedy
+    generation modulo the source's relations keeps a minimal set, by
+    graded Nakayama."""
+    M = phi.source
+    kept = min_generate_columns(M.ring, kernel_generators(phi),
+                                M.gen_degrees, reduced_seed=M.relgb.basis)
+    return [v for _, v, _ in kept], tuple(d for _, _, d in kept)
+
+
+def submodule(M: FPModule, cols, degrees):
+    """(K, incl): the submodule of M generated by the columns, of the
+    given degrees, with its inclusion into M.  Its relations are the
+    syzygies of the columns modulo M's relations, minimally generated."""
+    R = M.ring
+    rel_raw = [w for w in relative_kernel(R.ambient, cols, M.relgb.basis,
+                                          M.ngens) if w]
+    rel_kept = min_generate_columns(R, rel_raw, degrees)
+    rel = RingMatrix(R, [v for _, v, _ in rel_kept], degrees,
+                     [d for _, _, d in rel_kept])
+    K = FPModule(R, degrees, rel)
+    return K, ModuleHom(K, M, RingMatrix(R, cols, M.gen_degrees, degrees))
+
+
 def kernel(phi: ModuleHom):
     """(K, incl) with K the kernel of phi and incl its inclusion into the
     source.  Generators and relations are both minimally generated, so
     iterating this produces minimal resolutions."""
     M = phi.source
-    R = M.ring
-    amb = R.ambient
     if phi.target.ngens == 0:
-        K = FPModule(R, M.gen_degrees, M.relations)
-        return K, ModuleHom(K, M, RingMatrix.identity(R, M.gen_degrees))
-    raw = kernel_generators(phi)
-    kept = min_generate_columns(R, raw, M.gen_degrees,
-                                reduced_seed=M.relgb.basis)
-    if not kept:
-        K = FPModule(R, ())
-        return K, ModuleHom(K, M, RingMatrix.zero(R, M.gen_degrees, ()))
-    gen_cols = [v for _, v, _ in kept]
-    gdegs = [d for _, _, d in kept]
-    rel_raw = [w for w in relative_kernel(amb, gen_cols, M.relgb.basis,
-                                          M.ngens) if w]
-    rel_kept = min_generate_columns(R, rel_raw, gdegs)
-    rel = RingMatrix(R, [v for _, v, _ in rel_kept], gdegs,
-                     [d for _, _, d in rel_kept])
-    K = FPModule(R, tuple(gdegs), rel)
-    incl = ModuleHom(K, M, RingMatrix(R, gen_cols, M.gen_degrees, gdegs))
-    return K, incl
+        K = FPModule(M.ring, M.gen_degrees, M.relations)
+        return K, ModuleHom(K, M, RingMatrix.identity(M.ring, M.gen_degrees))
+    return submodule(M, *kernel_columns(phi))
 
 
 def cokernel(phi: ModuleHom) -> FPModule:
@@ -923,12 +932,18 @@ def homology_is_zero(into: ModuleHom, outof: ModuleHom) -> bool:
 # Hom modules.
 
 class HomModule:
-    """Hom_R(M, N) as a presented module.  An element of Hom(F0, N), F0 the
-    free cover of M, is a block vector with one copy of N per generator of M;
-    composing with the presentation of M maps it into one copy of N per
-    relation of M, and Hom(M, N) is the kernel."""
+    """Hom_R(M, N) as a submodule of Hom(F0, N), F0 the free cover of M.
+    An element of Hom(F0, N) is a block vector with one copy of N per
+    generator of M; composing with the presentation of M maps it into one
+    copy of N per relation of M, and Hom(M, N) is the kernel.
 
-    __slots__ = ("source", "target", "module", "inclusion", "_p0", "_tracked")
+    The kernel's generators (gen_cols, of degrees gen_degrees, in
+    Hom(F0, N)'s coordinates; minimal unless M is free and N is not
+    minimally presented) are found on construction.  The presentation
+    (module, and inclusion into Hom(F0, N)) is built on first access."""
+
+    __slots__ = ("source", "target", "gen_cols", "gen_degrees", "_p0",
+                 "_module", "_inclusion", "_tracked")
 
     def __init__(self, M: FPModule, N: FPModule):
         self.source = M
@@ -936,20 +951,14 @@ class HomModule:
         R = M.ring
         if N.ring != R:
             raise ValueError("hom between modules over different rings")
-        if M.ngens == 0:
-            z = FPModule(R, ())
-            self.module = z
-            self.inclusion = identity_hom(z)
-            self._p0 = z
-            self._tracked = None
-            return
-        p0 = power_with_twists(N, M.gen_degrees)
+        self._module = self._inclusion = self._tracked = None
+        self._p0 = p0 = (power_with_twists(N, M.gen_degrees) if M.ngens
+                         else FPModule(R, ()))
         rel = M.relations
-        if rel.ncols == 0 or N.ngens == 0:
-            self.module = p0
-            self.inclusion = identity_hom(p0)
-            self._p0 = p0
-            self._tracked = None
+        if not M.ngens or rel.ncols == 0 or N.ngens == 0:
+            self._module, self._inclusion = p0, identity_hom(p0)
+            self.gen_cols = list(self._inclusion.matrix.cols)
+            self.gen_degrees = p0.gen_degrees
             return
         p1 = power_with_twists(N, list(rel.col_degrees))
         # rel^T (x) 1_N: an element of Hom(F0, N) composed with each relation
@@ -957,47 +966,64 @@ class HomModule:
         big = block_matrix(R, [(v, nN, b) for v in rel.row_vecs()
                                for b in range(nN)],
                            p1.gen_degrees, p0.gen_degrees)
-        psi = ModuleHom(p0, p1, big)
-        self.module, self.inclusion = kernel(psi)
-        self._p0 = p0
-        self._tracked = None
+        self.gen_cols, self.gen_degrees = kernel_columns(
+            ModuleHom(p0, p1, big))
 
     @property
-    def gen_degrees(self):
-        return self.module.gen_degrees
+    def module(self) -> FPModule:
+        if self._module is None:
+            self._module, self._inclusion = submodule(
+                self._p0, self.gen_cols, self.gen_degrees)
+        return self._module
+
+    @property
+    def inclusion(self) -> ModuleHom:
+        self.module
+        return self._inclusion
 
     def generator_hom(self, t: int) -> ModuleHom:
         """The homomorphism M -> N carried by generator t; its shift is the
         generator's degree."""
         M, N = self.source, self.target
-        d = self.module.gen_degrees[t]
+        d = self.gen_degrees[t]
         cols = [{} for _ in range(M.ngens)]
-        for (r, e), c in self.inclusion.matrix.cols[t].items():
+        for (r, e), c in self.gen_cols[t].items():
             j, a = divmod(r, N.ngens)
             cols[j][(a, e)] = c
         mat = RingMatrix(M.ring, cols, N.gen_degrees,
                          tuple(g + d for g in M.gen_degrees))
         return ModuleHom(M, N, mat, d)
 
-    def coordinates_of(self, phi: ModuleHom):
-        """Express a hom M -> N in the generators; requires phi to be well
-        defined (membership is checked exactly)."""
+    def _vector(self, phi: ModuleHom) -> dict:
+        """phi: M -> N as an element of Hom(F0, N)."""
         M, N = self.source, self.target
         if phi.source != M or phi.target != N:
             raise ValueError("hom does not belong to this Hom module")
-        amb = M.ring.ambient
         nN = N.ngens
-        v = {(j * nN + a, e): c for j, col in enumerate(phi.matrix.cols)
-             for (a, e), c in col.items()}
+        return {(j * nN + a, e): c for j, col in enumerate(phi.matrix.cols)
+                for (a, e), c in col.items()}
+
+    def generated_by(self, phi: ModuleHom) -> bool:
+        """True when phi alone generates Hom(M, N): every generator lies in
+        R*phi modulo the relations of Hom(F0, N), into which Hom(M, N)
+        embeds.  Needs no presentation of Hom(M, N)."""
+        return in_span(self.source.ring.ambient, self._p0.relgb.basis,
+                       [self._vector(phi)], self.gen_cols)
+
+    def coordinates_of(self, phi: ModuleHom):
+        """Express a hom M -> N in the generators; requires phi to be well
+        defined (membership is checked exactly)."""
+        v = self._vector(phi)
+        amb = self.source.ring.ambient
+        cols = self.inclusion.matrix.cols
         if self._tracked is None:
             self._tracked = RelativeTracker(
-                amb, self.inclusion.matrix.cols, self._p0.relgb.basis,
-                self._p0.ngens)
+                amb, cols, self._p0.relgb.basis, self._p0.ngens)
         main, rep = self._tracked.reduce_with_rep(v)
         if main:
             raise ValueError("map is not in the hom module")
-        return [M.ring.nf(rep.get(t, amb.zero()))
-                for t in range(self.inclusion.matrix.ncols)]
+        return [self.source.ring.nf(rep.get(t, amb.zero()))
+                for t in range(len(cols))]
 
 
 # ---------------------------------------------------------------------------
@@ -1005,29 +1031,21 @@ class HomModule:
 
 def annihilator(M: FPModule) -> GroebnerBasis:
     """Ann(M) as an ideal of the ambient ring; it always contains the
-    defining ideal.  Computed per generator as a colon and intersected."""
+    defining ideal.  It is the annihilator of the diagonal element
+    (e_1, ..., e_n) of M^n: one kernel over n shifted copies of M's
+    relation basis, then one reduced basis of the ideal."""
     if M._ann is not None:
         return M._ann
-    R = M.ring
-    amb = R.ambient
-    if M.ngens == 0:
-        M._ann = buchberger([amb.one()], ring=amb)
-        return M._ann
+    amb = M.ring.ambient
+    n = M.ngens
     zero = amb._zero_exps
-    result = None
-    for i in range(M.ngens):
-        gens = []
-        for s in relative_kernel(amb, [{(i, zero): 1}], M.relgb.basis,
-                                 M.ngens):
-            f = amb.from_dict({e: c for (j, e), c in s.items() if j == 0})
-            if not f.is_zero:
-                gens.append(f)
-        colon = buchberger(gens, ring=amb)
-        result = colon if result is None else ideal_intersection(result, colon)
-        if result.is_zero_ideal:
-            break
-    M._ann = result
-    return result
+    diagonal = {(i * n + i, zero): 1 for i in range(n)}
+    seed = [{(i * n + r, e): c for (r, e), c in v.items()}
+            for i in range(n) for v in M.relgb.basis]
+    gens = [amb.from_dict({e: c for (_, e), c in u.items()})
+            for u in relative_kernel(amb, [diagonal], seed, n * n)]
+    M._ann = buchberger(gens, ring=amb)
+    return M._ann
 
 
 def quotient_by_element(M: FPModule, x: Polynomial) -> FPModule:

@@ -37,7 +37,6 @@ __all__ = [
     "ideal_dimension",
     "radical_membership",
     "ideal_colon_element",
-    "ideal_intersection",
     "ModuleGB",
     "RelativeTracker",
     "IncrementalSpan",
@@ -375,8 +374,7 @@ class RelativeTracker:
         """Vectors in S^ncols whose pairing with the columns lands in the seed
         span: the basis elements with no term left in the main block."""
         out = []
-        for v in self._eng.basis:
-            (row, _), _ = vec_lead(v, self._eng.okey)
+        for v, (row, _) in zip(self._eng.basis, self._eng.leads):
             if row >= self.rank:
                 if any(r < self.rank for (r, _) in v):
                     raise RuntimeError(
@@ -642,24 +640,6 @@ def ideal_colon_element(G: GroebnerBasis, f: Polynomial) -> GroebnerBasis:
     if not quot:
         return buchberger([], ring=ring)
     return buchberger(quot, ring=ring)
-
-
-def ideal_intersection(G1: GroebnerBasis, G2: GroebnerBasis) -> GroebnerBasis:
-    """I1 cap I2, as the coefficients on the diagonal column among syzygies of
-    [(1,1) | I1 in row 0 | I2 in row 1]."""
-    ring = G1.ring
-    if G1.is_zero_ideal or G2.is_zero_ideal:
-        return buchberger([], ring=ring)
-    zero = ring._zero_exps
-    cols = [{(0, zero): 1, (1, zero): 1}]
-    cols += [{(0, e): c for e, c in g.terms} for g in G1.gens]
-    cols += [{(1, e): c for e, c in g.terms} for g in G2.gens]
-    gens = []
-    for s in relative_kernel(ring, cols, (), 2):
-        f = ring.from_dict({e: c for (j, e), c in s.items() if j == 0})
-        if not f.is_zero:
-            gens.append(f)
-    return buchberger(gens, ring=ring)
 
 
 # ---------------------------------------------------------------------------

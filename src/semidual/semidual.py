@@ -37,7 +37,6 @@ from .fpmod import (
     is_nzd_on,
     is_surjective,
     kernel_of_scalar,
-    minimal_generators,
     power_with_twists,
     quotient_by_element,
     scalar_hom,
@@ -99,9 +98,12 @@ class SemidualizingCertificate:
     Condition (i), that the scalar action gives an isomorphism onto
     End(C), is decided exactly: the identity endomorphism must generate
     the End module (surjectivity) and the annihilator must reduce to the
-    defining ideal (injectivity).  Condition (ii) is Ext^i(C, C) = 0 for
-    1 <= i <= ext_bound; the verdict says "verified_up_to_bound" rather
-    than pretending to cover all i."""
+    defining ideal (injectivity).  Both are decided inside Hom(F0, C),
+    F0 the free cover of C, where End(C) is found as a kernel with
+    minimal generators; end_minimal_generators is their count, and
+    End(C)'s own presentation is never built.  Condition (ii) is
+    Ext^i(C, C) = 0 for 1 <= i <= ext_bound; the verdict says
+    "verified_up_to_bound" rather than pretending to cover all i."""
 
     __slots__ = (
         "ring", "module", "end_minimal_generators", "identity_generates",
@@ -185,12 +187,8 @@ def check_semidualizing(C: FPModule, ext_bound=None) -> SemidualizingCertificate
     # Condition (i).  Surjectivity of the scalar map is "the identity
     # generates End(C)"; injectivity is "ann C = 0 in R".
     H = HomModule(Cm, Cm)
-    end_count, _ = minimal_generators(H.module)
-    coords = H.coordinates_of(identity_hom(Cm))
-    one_col = RingMatrix.from_columns(
-        R, [tuple(coords)], H.module.gen_degrees, (0,))
-    onto = ModuleHom(free_module(R, (0,)), H.module, one_col)
-    identity_generates = is_surjective(onto)
+    end_count = len(H.gen_cols)
+    identity_generates = H.generated_by(identity_hom(Cm))
     ann = annihilator(Cm)
     excess = next((str(g) for g in ann.gens if not R.ideal.contains(g)), None)
     faithful = excess is None
@@ -449,18 +447,19 @@ class CResolution:
         return f"CResolution(length={self.length})"
 
 
-def c_resolution(C: FPModule, Y: FPModule, max_length=None) -> CResolution:
-    """Resolve Y by direct sums of copies of C and verify the result.
+def c_resolution(H: HomModule, max_length=None) -> CResolution:
+    """Resolve Y by direct sums of copies of C, where H = Hom(C, Y), and
+    verify the result.
 
     The matrices come from the minimal free resolution of Hom(C, Y).
     Read over the ring they must stay a resolution of Hom(C, Y); read on
     copies of C they must form an exact complex with the evaluation-built
     augmentation onto Y.  Both directions are checked degree by degree
     and any failure is a hard error."""
+    C, Y = H.source, H.target
     R = C.ring
     if max_length is None:
         max_length = default_ext_bound(R)
-    H = HomModule(C, Y)
     h = H.module
     try:
         length = projective_dimension(h, max_length)
@@ -680,7 +679,7 @@ def verify_ab(C: FPModule, Y: FPModule, ext_bound=None, pd_bound=None,
         raise VerificationError(
             "evaluation map C (x) Hom(C, Y) -> Y is not an isomorphism")
 
-    resolution = c_resolution(C, Y, pd_bound)
+    resolution = c_resolution(H, pd_bound)
     cdim = resolution.length
     pd_hom = projective_dimension(H.module, pd_bound)
     depth_C = depth_with_witness(C, degree_bound=degree_bound, seed=seed)

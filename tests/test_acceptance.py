@@ -109,7 +109,7 @@ def test_criterion_3(semigroup, omega_mod_x):
     W, Y = semigroup.C, omega_mod_x
     holds, info = bass_class_check(W, Y, ext_bound=8)
     assert holds and info["first_nonzero_ext"] is None
-    res = c_resolution(W, Y)
+    res = c_resolution(HomModule(W, Y))
     assert res.length == 1
     assert all(res.checks.values())
     rep = verify_ab(W, Y, ext_bound=8)

@@ -6,7 +6,14 @@ import pytest
 
 from semidual import fpmod
 from semidual.polyring import PolyRing, PrimeField, mono_mul
-from semidual.groebner import GradedRing, IncrementalSpan, ModuleGB, row_blocks
+from semidual.groebner import (
+    GradedRing,
+    IncrementalSpan,
+    ModuleGB,
+    buchberger,
+    relative_kernel,
+    row_blocks,
+)
 from semidual.fpmod import (
     FPModule,
     HomModule,
@@ -27,6 +34,7 @@ from semidual.fpmod import (
     is_surjective,
     kernel,
     kernel_of_scalar,
+    minimal_generators,
     power_with_twists,
     quotient_by_element,
     residue_field_module,
@@ -34,12 +42,14 @@ from semidual.fpmod import (
     tensor_product,
     tuple_to_vec,
 )
+from semidual.homalg import ext_module
 from semidual.linalg import is_invertible
 
 from helpers_random import (
     block_diagonal,
     random_block,
     random_homogeneous,
+    random_module,
     seed_only_block,
     shift_spread,
 )
@@ -308,8 +318,8 @@ def test_tensor_product_relation_blocks(plane, omega):
 
 def test_hom_module_composes_with_each_relation(monkeypatch, plane, omega):
     seen = []
-    real = fpmod.kernel
-    monkeypatch.setattr(fpmod, "kernel",
+    real = fpmod.kernel_columns
+    monkeypatch.setattr(fpmod, "kernel_columns",
                         lambda phi: seen.append(phi) or real(phi))
     S, R = plane
     x, y = S.variable(0), S.variable(1)
@@ -613,3 +623,68 @@ def test_membership_in_one_block_takes_the_unsplit_path(monkeypatch, plane):
     assert not is_surjective(d1)
     assert [args[1] for args in built] == [d2.matrix.cols, d1.matrix.cols]
     assert built[0][1] is d2.matrix.cols and built[1][1] is d1.matrix.cols
+
+
+def _intersection(G1, G2):
+    """I1 cap I2, as the coefficients on the diagonal column among the
+    syzygies of [(1, 1) | I1 in row 0 | I2 in row 1]."""
+    ring = G1.ring
+    zero = ring._zero_exps
+    cols = [{(0, zero): 1, (1, zero): 1}]
+    cols += [{(0, e): c for e, c in g.terms} for g in G1.gens]
+    cols += [{(1, e): c for e, c in g.terms} for g in G2.gens]
+    gens = [ring.from_dict({e: c for (j, e), c in s.items() if j == 0})
+            for s in relative_kernel(ring, cols, (), 2)]
+    return buchberger(gens, ring=ring)
+
+
+def _annihilator_by_colons(M):
+    """The intersection over the generators e_i of the colons
+    (relations : e_i), each read off the syzygies of e_i."""
+    amb = M.ring.ambient
+    result = None
+    for i in range(M.ngens):
+        gens = [amb.from_dict({e: c for (_, e), c in s.items()})
+                for s in relative_kernel(amb, [{(i, amb._zero_exps): 1}],
+                                         M.relgb.basis, M.ngens)]
+        colon = buchberger(gens, ring=amb)
+        result = colon if result is None else _intersection(result, colon)
+    return result
+
+
+def test_annihilator_is_the_intersection_of_the_generator_colons(
+        all_corpus, semigroup):
+    """Ann M as one diagonal kernel equals the per-generator colons
+    intersected, as reduced bases, over the corpus rings and F3[x,y]/(xy)
+    on seeded modules with one to three generators, and over the
+    semigroup ring on omega (x) omega (four generators) and Ext^2(k, k)
+    (six generators)."""
+    S3 = PolyRing(PrimeField(3), ("x", "y"))
+    x, y = S3.variable(0), S3.variable(1)
+    rings = [case.ring for case in all_corpus]
+    rings.append(GradedRing(S3, [x * y]))
+    modules = []
+    for r, R in enumerate(rings):
+        rng = random.Random(800 + r)
+        modules += [random_module(R, rng, max_gens=3) for _ in range(8)]
+    k = residue_field_module(semigroup.ring)
+    modules += [tensor_product(semigroup.C, semigroup.C).minimal()[0],
+                ext_module(k, k, 2).minimal()[0]]
+    for M in modules:
+        assert annihilator(M).gens == _annihilator_by_colons(M).gens
+    assert {M.ngens for M in modules} == {1, 2, 3, 4, 6}
+
+
+def test_hom_generators_alone_solve_no_relations(all_corpus):
+    """HomModule finds minimal generators of Hom(C, C) on construction;
+    counting them and testing whether the identity generates leaves the
+    presentation unbuilt, and the count is that of the presented module.
+    A free C presents Hom(C, C) as Hom(F0, C) itself, with no relation
+    step to defer."""
+    for case in all_corpus:
+        C = case.C.minimal()[0]
+        H = HomModule(C, C)
+        assert H.generated_by(identity_hom(C))
+        count = len(H.gen_cols)
+        assert (H._module is None) == bool(C.relations.ncols)
+        assert count == minimal_generators(H.module)[0] == 1

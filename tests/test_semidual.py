@@ -1,6 +1,7 @@
 """The semidualizing pipeline: certificates, splittings, resolutions on
 copies of C, the depth identity, and the corollary checks."""
 
+import hashlib
 import json
 import random
 
@@ -8,13 +9,20 @@ import pytest
 
 from semidual.fpmod import (
     FPModule,
+    HomModule,
     RingMatrix,
     direct_sum,
     free_module,
+    minimal_generators,
     quotient_by_element,
 )
 from semidual.groebner import GradedRing
-from semidual.homalg import TruncationError, depth_koszul, free_resolution
+from semidual.homalg import (
+    TruncationError,
+    depth_koszul,
+    free_resolution,
+    module_dimension,
+)
 from semidual.polyring import PolyRing, PrimeField
 from semidual.semidual import (
     VerificationError,
@@ -160,21 +168,21 @@ def test_bass_class_quotient_member(semigroup, omega_mod_x):
 
 
 def test_c_resolution_classical(poly_xy):
-    res = c_resolution(poly_xy.C, poly_xy.k)
+    res = c_resolution(HomModule(poly_xy.C, poly_xy.k))
     assert res.length == 2
     assert [res.copies(i) for i in range(3)] == [1, 2, 1]
     assert all(v for v in res.checks.values())
 
 
 def test_c_resolution_length_zero(semigroup):
-    res = c_resolution(semigroup.C, semigroup.C)
+    res = c_resolution(HomModule(semigroup.C, semigroup.C))
     assert res.length == 0
     assert res.copies(0) == 1
 
 
 def test_c_resolution_length_one(semigroup, omega_mod_x):
     # 0 -> C --x--> C -> omega/x omega -> 0
-    res = c_resolution(semigroup.C, omega_mod_x)
+    res = c_resolution(HomModule(semigroup.C, omega_mod_x))
     assert res.length == 1
     assert [res.copies(i) for i in range(2)] == [1, 1]
     j = res.to_json_dict()
@@ -353,3 +361,40 @@ def test_hypersurface_negative_controls(hypersurface):
         c_dimension(hypersurface.C, hypersurface.k, 6)
     with pytest.raises(TruncationError):
         verify_ab(hypersurface.C, hypersurface.k, ext_bound=4, pd_bound=6)
+
+
+def _screen_candidates(all_corpus):
+    """40 seeded candidates: over each corpus ring and over F3[x,y]/(xy),
+    six random modules with up to three generators, the free module of
+    rank two and the ring's own C (omega over the semigroup ring, the
+    ring itself elsewhere)."""
+    S3 = PolyRing(PrimeField(3), ("x", "y"))
+    x, y = S3.variable(0), S3.variable(1)
+    R3 = GradedRing(S3, [x * y], name="R")
+    cases = [(case.ring, case.C) for case in all_corpus]
+    cases.append((R3, free_module(R3, (0,))))
+    out = []
+    for r, (R, C) in enumerate(cases):
+        rng = random.Random(700 + r)
+        out += [random_module(R, rng, max_gens=3) for _ in range(6)]
+        out += [free_module(R, (0, 0)), C]
+    return out
+
+
+def test_check_semidualizing_reports_are_pinned(all_corpus):
+    """The check-semidualizing and dim reports of 40 seeded candidates,
+    byte for byte, as pinned across every refactor of condition (i).
+    Each report's end_minimal_generators, read off End(C)'s kernel
+    generators, is the minimal generator count of End(C)'s own
+    presentation."""
+    reports = []
+    for M in _screen_candidates(all_corpus):
+        cert = check_semidualizing(M)
+        Cm = M.minimal()[0]
+        assert cert.end_minimal_generators == minimal_generators(
+            HomModule(Cm, Cm).module)[0]
+        reports.append([cert.to_json_dict(),
+                        {"dimension": module_dimension(M)}])
+    text = json.dumps(reports, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "3d995d68a71aea8013a48b7b83ca8c9bc3e9c7064605feb78df21b5ef088f6ee")
