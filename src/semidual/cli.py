@@ -10,7 +10,8 @@ Three subcommands:
 Exit codes: 0 success, 1 verification failure (a failed certificate, a
 false identity, a corpus mismatch), 2 input error (syntax, undefined
 names, bad preconditions), 3 resource bound hit (a truncated search that
-proves nothing either way).
+proves nothing either way), 4 internal error (an invariant of the
+computation broke: a fault in this package, not a verdict).
 
 The environment variable SEMIDUAL_EXT_BOUND overrides the default Ext
 vanishing bound; an explicit ext_bound in a config block wins over both.
@@ -26,7 +27,7 @@ from importlib import resources
 from pathlib import Path
 
 from .polyring import PolyRing, PrimeField
-from .groebner import GradedRing
+from .groebner import GradedRing, InternalError
 from .fpmod import (
     FPModule,
     HomModule,
@@ -71,12 +72,13 @@ from .session import (
 
 __all__ = ["main", "run_command", "run_corpus", "build_environment",
            "InputError", "EXIT_OK", "EXIT_VERIFICATION", "EXIT_INPUT",
-           "EXIT_RESOURCE"]
+           "EXIT_RESOURCE", "EXIT_INTERNAL"]
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
 EXIT_INPUT = 2
 EXIT_RESOURCE = 3
+EXIT_INTERNAL = 4
 
 
 class InputError(ValueError):
@@ -537,6 +539,9 @@ def cmd_run(path: str) -> int:
     except ValueError as e:
         _print_error("input error", f"{path}: {e}")
         return EXIT_INPUT
+    except InternalError as e:
+        _print_error("internal error", str(e))
+        return EXIT_INTERNAL
     except RuntimeError as e:
         _print_error("verification failure", str(e))
         return EXIT_VERIFICATION

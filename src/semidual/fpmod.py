@@ -139,12 +139,12 @@ def min_generate_columns(ring: GradedRing, cols, row_degrees, extra=(),
     staged.sort(key=lambda t: (t[0], t[1]))
     vecs = [v for _, _, v in staged]
 
-    def decide(_, seed, extra, vecs):
+    def decide(_n, _idx, seed, extra, vecs):
         span = IncrementalSpan(ring.ambient, extra, reduced_seed=seed)
         return [span.add(v) for v in vecs]
     blocks = row_blocks((reduced_seed, extra, vecs))
     if blocks is None:
-        keep = decide(None, reduced_seed, extra, vecs)
+        keep = decide(None, None, reduced_seed, extra, vecs)
     else:
         keep = [False] * len(vecs)
         for flags, idx in solve_blocks(blocks, decide):
@@ -157,12 +157,12 @@ def in_span(amb, seed, gens, vecs) -> bool:
     """True when every vector of vecs lies in the span of gens and of the
     reduced basis seed, decided once per distinct row block up to the first
     that fails: a vector lies in the span iff it lies in its block's part."""
-    def check(_, seed, gens, vecs):
+    def check(_n, _idx, seed, gens, vecs):
         span = IncrementalSpan(amb, gens, reduced_seed=seed)
         return all(span.contains(u) for u in vecs)
     blocks = row_blocks((seed, gens, vecs))
     if blocks is None:
-        return check(None, seed, gens, vecs)
+        return check(None, None, seed, gens, vecs)
     return all(ok for ok, _ in solve_blocks(blocks, check))
 
 

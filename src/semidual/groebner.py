@@ -31,6 +31,7 @@ from .polyring import (
 )
 
 __all__ = [
+    "InternalError",
     "GroebnerBasis",
     "GradedRing",
     "buchberger",
@@ -47,6 +48,11 @@ __all__ = [
     "vec_scale",
     "vec_lead",
 ]
+
+
+class InternalError(RuntimeError):
+    """An invariant of the computation itself broke: a fault in this
+    package, never a verdict about the input."""
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +383,7 @@ class RelativeTracker:
         for v, (row, _) in zip(self._eng.basis, self._eng.leads):
             if row >= self.rank:
                 if any(r < self.rank for (r, _) in v):
-                    raise RuntimeError(
+                    raise InternalError(
                         f"kernel vector led by tracking row {row} has a "
                         f"term in the main block (rank {self.rank})")
                 out.append({(r - self.rank, e): c for (r, e), c in v.items()})
@@ -410,7 +416,7 @@ def relative_kernel(ring: PolyRing, columns, seed, rank: int):
     if blocks is None:
         return RelativeTracker(ring, columns, seed, rank).kernel_vectors()
 
-    def solve(nrows, bseed, bcols):
+    def solve(nrows, _, bseed, bcols):
         return RelativeTracker(ring, bcols, bseed,
                                nrows - len(bcols)).kernel_vectors()
     return [{(js[t], e): c for (t, e), c in u.items()}
@@ -418,14 +424,15 @@ def relative_kernel(ring: PolyRing, columns, seed, rank: int):
 
 
 def solve_blocks(blocks, solve):
-    """(solve(nrows, *families), indices) for each (key, indices) of
-    row_blocks, in order, with the families as lists of fresh dicts.  solve
-    runs once per distinct key and copies reuse its result; the memo lives
-    for one call.  Lazy, so a caller may stop at the first block it needs."""
+    """(solve(nrows, indices, *families), indices) for each (key, indices)
+    of row_blocks, in order, with the families as lists of fresh dicts.
+    solve runs once per distinct key, on the first block with that key, and
+    copies reuse its result; the memo lives for one call.  Lazy, so a
+    caller may stop at the first block it needs."""
     solved = {}
     for key, idx in blocks:
         if key not in solved:
-            solved[key] = solve(key[0], *[
+            solved[key] = solve(key[0], idx, *[
                 [dict(itertools.islice(items, n)) for n in lens]
                 for lens, rows, exps, coeffs in key[1:]
                 for items in [zip(zip(rows, exps), coeffs)]])

@@ -31,6 +31,7 @@ from .fpmod import (
     annihilator,
     block_matrix,
     cokernel,
+    column_degree,
     free_module,
     homology_at,
     homology_is_zero,
@@ -43,7 +44,7 @@ from .fpmod import (
     syzygies,
     zero_hom,
 )
-from .groebner import ideal_dimension
+from .groebner import ideal_dimension, row_blocks, solve_blocks
 
 __all__ = [
     "TruncationError",
@@ -229,63 +230,110 @@ def _hom_into(N: FPModule, dmat: RingMatrix, p_prev=None) -> ModuleHom:
     return ModuleHom(p_prev, p_next, mat)
 
 
-def _ext_boundaries(res: Resolution, N: FPModule, i: int, t_in=None):
-    """(T_i, T_{i+1}) around stage i of Hom(F_*, N), with T_j = Hom(d_j, N).
-    A given T_i is reused, and T_{i+1} starts from its target.  T_i is
-    None at i = 0; both are None when Hom(F_i, N) vanishes."""
-    res.ensure(i + 1)
-    if res.betti(i) == 0 or N.ngens == 0:
-        return None, None
-    if i and t_in is None:
-        t_in = _hom_into(N, res.maps[i - 1])
-    p_i = t_in.target if i else power_with_twists(N, res.degrees(i))
-    if i < len(res.maps):
-        t_next = _hom_into(N, res.maps[i], p_i)
-    else:
-        t_next = zero_hom(p_i, FPModule(res.ring, ()))
-    return t_in, t_next
+def _ext_boundaries(N: FPModule, d_in, d_out, degrees):
+    """(T_in, T_out) = (Hom(d_in, N), Hom(d_out, N)) around the free module
+    F of the given degrees, for boundaries d_in out of F and d_out into F.
+    Both maps share the power Hom(F, N) of N.  T_in is None when d_in is;
+    T_out is the zero map into the zero module when d_out is None."""
+    t_in = None if d_in is None else _hom_into(N, d_in)
+    p = power_with_twists(N, degrees) if t_in is None else t_in.target
+    if d_out is None:
+        return t_in, zero_hom(p, FPModule(N.ring, ()))
+    return t_in, _hom_into(N, d_out, p)
+
+
+def _boundaries_at(res: Resolution, i: int):
+    """(d_i, d_{i+1}) of a resolution extended to i + 1, None where the
+    boundary does not exist."""
+    return (res.maps[i - 1] if i else None,
+            res.maps[i] if i < len(res.maps) else None)
 
 
 def ext_module(M: FPModule, N: FPModule, i: int) -> FPModule:
     """Ext^i(M, N) as a presented module, via Hom of the minimal resolution
-    of M into N."""
+    of M into N, assembled in full."""
     if i < 0:
         raise ValueError("negative Ext index")
     res = free_resolution(M, i + 1)
-    t_in, t_next = _ext_boundaries(res, N, i)
-    if t_next is None:
+    if res.betti(i) == 0 or N.ngens == 0:
         return FPModule(M.ring, ())
+    t_in, t_out = _ext_boundaries(N, *_boundaries_at(res, i), res.degrees(i))
     if t_in is None:
-        return kernel(t_next)[0]
-    return homology_at(t_in, t_next)
+        return kernel(t_out)[0]
+    return homology_at(t_in, t_out)
 
 
 def first_nonvanishing_ext(M: FPModule, N: FPModule, lo: int, hi: int):
     """The first i in lo..hi with Ext^i(M, N) != 0, or None.
 
-    One walk up the cached resolution of M: Hom(d_{i+1}, N) built at index
-    i is the incoming map at index i + 1.  Each verdict is decided by
-    membership checks only and memoised on N, keyed by M's resolution;
-    only the booleans are kept, never the maps."""
+    Each index is decided by _ext_vanishes on the cached resolution of M,
+    by membership checks only.  The verdicts are memoised on N, keyed by
+    M's resolution; only the booleans are kept, never the maps."""
     res = free_resolution(M, 0)
     if N._ext is None:
         N._ext = {}
     memo = N._ext.setdefault(res, {})
-    t_next = None
     for i in range(lo, hi + 1):
-        if i in memo:
-            t_next = None
-        else:
-            t_in, t_next = _ext_boundaries(res, N, i, t_next)
-            if t_next is None:
-                memo[i] = True
-            elif t_in is None:
-                memo[i] = is_injective(t_next)
-            else:
-                memo[i] = homology_is_zero(t_in, t_next)
+        if i not in memo:
+            memo[i] = _ext_vanishes(res, N, i)
         if not memo[i]:
             return i
     return None
+
+
+def _ext_vanishes(res: Resolution, N: FPModule, i: int) -> bool:
+    """Ext^i(M, N) = 0 for the module M that res resolves, decided one
+    connected component of F_{i+1} -> F_i -> F_{i-1} at a time.
+
+    The nodes are the bases of the three free modules, linked by each
+    nonzero entry of d_i and d_{i+1}.  Hom(F_*, N) around i is the direct
+    sum of the components' subcomplexes, and it is exact at i exactly when
+    each summand is.  row_blocks finds the components that touch F_i: the
+    rows of d_i and the columns of d_{i+1} are vectors over F_i, and one
+    unit vector per basis element of F_i puts each of them in a block.  A
+    block's key holds its renumbered entries only, so blocks with equal
+    keys are one subcomplex up to a twist, which keeps exactness.  Each
+    distinct key is decided once, on its own small Hom maps, up to the
+    first that fails; a component with no part in F_{i-1} is decided by
+    injectivity."""
+    res.ensure(i + 1)
+    degs = res.degrees(i)
+    if not degs or N.ngens == 0:
+        return True
+    d_in, d_out = _boundaries_at(res, i)
+
+    def exact(d_in, d_out, degrees):
+        t_in, t_out = _ext_boundaries(N, d_in, d_out, degrees)
+        if t_in is None:
+            return is_injective(t_out)
+        return homology_is_zero(t_in, t_out)
+
+    R = N.ring
+    amb = R.ambient
+    units = [{(j, amb._zero_exps): 1} for j in range(len(degs))]
+    blocks = row_blocks((d_in.row_vecs() if d_in else [],
+                         d_out.cols if d_out else [], units))
+    if blocks is None:
+        return exact(d_in, d_out, degs)
+
+    def component(_n, idx, rows, cols, _units):
+        f = [degs[j] for j in idx]
+        sub_in = sub_out = None
+        if rows:
+            # a row of d_i in a block has an entry, whose degree fixes
+            # the row's degree
+            rdegs = [f[j] - amb.wdeg(e) for j, e in map(next, map(iter, rows))]
+            tcols = [{} for _ in f]
+            for r, v in enumerate(rows):
+                for (j, e), c in v.items():
+                    tcols[j][(r, e)] = c
+            sub_in = RingMatrix(R, tcols, rdegs, f, normal=True)
+        if cols:
+            sub_out = RingMatrix(R, cols, f,
+                                 [column_degree(amb, v, f) for v in cols],
+                                 normal=True)
+        return exact(sub_in, sub_out, f)
+    return all(ok for ok, _ in solve_blocks(blocks, component))
 
 
 def ext_is_zero(M: FPModule, N: FPModule, i: int) -> bool:

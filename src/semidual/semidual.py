@@ -19,7 +19,7 @@ decision is affordable.
 import random
 
 from .polyring import Polynomial
-from .groebner import GradedRing, radical_membership
+from .groebner import GradedRing, InternalError, radical_membership
 from .fpmod import (
     FPModule,
     HomModule,
@@ -180,9 +180,9 @@ def check_semidualizing(C: FPModule, ext_bound=None) -> SemidualizingCertificate
         ext_bound = default_ext_bound(R)
     if ext_bound < 1:
         raise ValueError("ext_bound must be at least 1")
-    if C.is_zero_module():
-        raise ValueError("the zero module cannot be semidualizing")
     Cm = C.minimal()[0]
+    if Cm.ngens == 0:  # graded Nakayama: C = 0 iff C/mC = 0
+        raise ValueError("the zero module cannot be semidualizing")
 
     # Condition (i).  Surjectivity of the scalar map is "the identity
     # generates End(C)"; injectivity is "ann C = 0 in R".
@@ -281,7 +281,8 @@ def split_surjection(T: RingMatrix, C=None):
     }
     if not all(identities.values()):
         bad = [k for k, v in identities.items() if not v]
-        raise RuntimeError(f"splitting identities failed: {', '.join(bad)}")
+        raise InternalError(
+            f"splitting identities failed: {', '.join(bad)}")
 
     F = free_module(R, T.col_degrees)
     im_rank, co_rank, sw = summand_analysis(ModuleHom(F, F, e))

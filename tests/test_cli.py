@@ -6,8 +6,10 @@ from pathlib import Path
 
 import pytest
 
+import semidual.semidual
 from semidual.cli import (
     EXIT_INPUT,
+    EXIT_INTERNAL,
     EXIT_OK,
     EXIT_RESOURCE,
     EXIT_VERIFICATION,
@@ -178,6 +180,29 @@ def test_split_without_module_omits_power_check(tmp_path, capsys):
     assert main(["run", path]) == EXIT_OK
     out = capsys.readouterr().out
     assert "image_rank" in out and "power_check" not in out
+
+
+def test_run_internal_fault_exit_code(tmp_path, capsys, monkeypatch):
+    """A broken invariant exits 4, apart from a failed verdict (1): here
+    unit_pivots hands split_surjection zero row operations, so its
+    section identity fails."""
+    real = semidual.semidual.unit_pivots
+
+    def broken(R, rows):
+        pivots, W, L = real(R, rows)
+        return pivots, W, [[R.ambient.zero()] * len(row) for row in L]
+
+    monkeypatch.setattr(semidual.semidual, "unit_pivots", broken)
+    session = ("ring R { char 101; vars x y; }\n"
+               "matrix T over R {\n"
+               "    rowdegs 0;\n"
+               "    coldegs 0 1;\n"
+               "    cols { [1]; [x]; }\n"
+               "}\n"
+               "run split(T);\n")
+    assert main(["run", _write(tmp_path, session)]) == EXIT_INTERNAL
+    err = capsys.readouterr().err
+    assert "internal error: splitting identities failed: section" in err
 
 
 def test_fmt_canonical_and_idempotent(tmp_path, capsys):

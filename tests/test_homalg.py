@@ -1,6 +1,7 @@
 """Resolutions, Ext, depth, dimension, Hilbert series."""
 
 import os
+import random
 
 import pytest
 
@@ -12,6 +13,7 @@ from semidual.groebner import GradedRing
 from semidual.fpmod import (
     FPModule,
     RingMatrix,
+    direct_sum,
     free_module,
     is_isomorphic,
     quotient_by_element,
@@ -39,6 +41,7 @@ from semidual.semidual import check_semidualizing, power_scalar_hom
 from semidual.session import parse_session
 
 from conftest import make_hypersurface, make_poly_xy, make_semigroup
+from helpers_random import random_module
 
 F = PrimeField(101)
 
@@ -219,22 +222,128 @@ def test_walker_matches_per_index_ext_modules():
     }
 
 
-def test_walk_passes_the_shared_hom_module_along(monkeypatch):
-    pairs = []
-    real = homalg.homology_is_zero
+def _components(d_in, d_out, nmid):
+    """The connected components of F_{i+1} -> F_i -> F_{i-1} that touch
+    F_i, found by a search of their own: nodes ("in", r), ("mid", j) and
+    ("out", k), linked by each nonzero entry.  Each component comes as
+    (key, sizes): key holds its entries with every part's nodes renumbered
+    in increasing order, sizes its node count in each part."""
+    edges = []  # (node, node, exps, coeff), one per term of an entry
+    for c, v in enumerate(d_in.cols):
+        edges += [(("in", r), ("mid", c), e, coef)
+                  for (r, e), coef in v.items()]
+    for c, v in enumerate(d_out.cols if d_out is not None else ()):
+        edges += [(("mid", r), ("out", c), e, coef)
+                  for (r, e), coef in v.items()]
+    links = {("mid", j): set() for j in range(nmid)}
+    for a, b, _, _ in edges:
+        links.setdefault(a, set()).add(b)
+        links.setdefault(b, set()).add(a)
+    seen, out = set(), []
+    for j in range(nmid):
+        if ("mid", j) in seen:
+            continue
+        comp, todo = set(), [("mid", j)]
+        while todo:
+            node = todo.pop()
+            if node not in comp:
+                comp.add(node)
+                todo += links[node]
+        seen |= comp
+        kinds = ("in", "mid", "out")
+        pos = {node: t for kind in kinds for t, node in enumerate(
+            sorted(n for n in comp if n[0] == kind))}
+        key = sorted((a[0], pos[a], pos[b], e, coef)
+                     for a, b, e, coef in edges if a in comp)
+        sizes = tuple(sum(n[0] == kind for n in comp) for kind in kinds)
+        out.append((tuple(key), sizes))
+    return out
 
-    def spy(into, outof):
-        pairs.append((into, outof))
-        return real(into, outof)
 
-    monkeypatch.setattr(homalg, "homology_is_zero", spy)
+def test_walk_decides_each_distinct_component_once(monkeypatch):
+    """The Ext(omega, omega) walk over the semigroup ring runs
+    homology_is_zero once per distinct component of d_i and d_{i+1}, and
+    builds no power of omega with more copies than the largest component
+    has nodes in one free module, far fewer than the Betti numbers."""
+    decided, copies = [], []
+    real_exact, real_power = homalg.homology_is_zero, \
+        homalg.power_with_twists
+
+    def spy_exact(into, outof):
+        decided.append(into)
+        return real_exact(into, outof)
+
+    def spy_power(W, twists):
+        copies.append(len(twists))
+        return real_power(W, twists)
+
+    monkeypatch.setattr(homalg, "homology_is_zero", spy_exact)
+    monkeypatch.setattr(homalg, "power_with_twists", spy_power)
     sg = make_semigroup()
-    assert first_nonvanishing_ext(sg.C, sg.C, 1, 3) is None
-    assert len(pairs) == 3
-    for t_in, t_next in pairs:
-        assert t_in.target is t_next.source
-    for (_, t_prev), (t_in, _) in zip(pairs, pairs[1:]):
-        assert t_in is t_prev
+    top = 6
+    assert first_nonvanishing_ext(sg.C, sg.C, 1, top) is None
+    res = free_resolution(sg.C, top + 1)
+    want, largest = 0, 0
+    for i in range(1, top + 1):
+        d_out = res.maps[i] if i < len(res.maps) else None
+        comps = _components(res.maps[i - 1], d_out, res.betti(i))
+        want += len({key for key, _ in comps})
+        largest = max(largest, *(max(sizes) for _, sizes in comps))
+        if i > 3:
+            assert len({key for key, _ in comps}) < len(comps)
+    assert len(decided) == want
+    assert max(copies) <= largest < res.betti(top)
+
+
+def test_walker_matches_assembled_ext_on_random_modules(monkeypatch,
+                                                         all_corpus):
+    """On seeded modules over the corpus rings and F3[x,y]/(xy), the
+    walker's first nonvanishing index and each index's verdict agree with
+    the assembled Ext module's minimal generator count, walking from 0
+    and from 1.  M is a random module, C or k, or a sum of two copies of
+    one, so components repeat; N is the ring's C (omega over the
+    semigroup ring), a random module or a direct sum, so N splits too."""
+    S3 = PolyRing(PrimeField(3), ("x", "y"))
+    x, y = S3.variable(0), S3.variable(1)
+    cases = [(case.ring, case.C) for case in all_corpus]
+    R3 = GradedRing(S3, [x * y], name="R")
+    cases.append((R3, free_module(R3, (0,))))
+    splits = []
+    real_blocks = homalg.row_blocks
+
+    def spy_blocks(families):
+        blocks = real_blocks(families)
+        if blocks is not None:
+            splits.append(len({key for key, _ in blocks}) < len(blocks))
+        return blocks
+
+    monkeypatch.setattr(homalg, "row_blocks", spy_blocks)
+    top = 3
+    firsts = []
+    for r, (R, C) in enumerate(cases):
+        rng = random.Random(900 + r)
+        k = residue_field_module(R)
+        for _ in range(2):
+            M = random_module(R, rng)
+            N1 = random_module(R, rng)
+            for M, N in [(M, C), (direct_sum([M, M]), N1),
+                         (M, direct_sum([C, N1])),
+                         (direct_sum([M, M]), direct_sum([N1, N1])),
+                         (direct_sum([k, k]), direct_sum([C, C])),
+                         (direct_sum([k, k]), N1),
+                         (direct_sum([C, C]), C)]:
+                want = [ext_module(M, N, i).minimal()[0].ngens == 0
+                        for i in range(top + 1)]
+                first = next((i for i, z in enumerate(want) if not z), None)
+                first1 = next((i for i, z in enumerate(want)
+                               if i and not z), None)
+                firsts += [first, first1]
+                assert first_nonvanishing_ext(M, N, 1, top) == first1
+                assert first_nonvanishing_ext(M, N, 0, top) == first
+                assert [ext_is_zero(M, N, i)
+                        for i in range(top + 1)] == want
+    assert any(splits)
+    assert set(firsts) == {None, 0, 1, 2}
 
 
 def test_second_certificate_builds_no_hom_map(monkeypatch):

@@ -72,9 +72,14 @@ def test_certificate_fails_for_rank_two(poly_xy):
 
 
 def test_certificate_input_validation(poly_xy):
-    zero = quotient_by_element(poly_xy.C, poly_xy.ring.ambient.one())
-    with pytest.raises(ValueError):
-        check_semidualizing(zero, 2)
+    R = poly_xy.ring
+    one = R.ambient.one()
+    zeros = [quotient_by_element(poly_xy.C, one), FPModule(R, ()),
+             FPModule(R, (0, 0), RingMatrix.from_columns(
+                 R, [(one, one), (one, -one)], (0, 0), (0, 0)))]
+    for zero in zeros:
+        with pytest.raises(ValueError, match="zero module cannot be"):
+            check_semidualizing(zero, 2)
     with pytest.raises(ValueError):
         check_semidualizing(poly_xy.C, 0)
 
