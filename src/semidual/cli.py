@@ -597,12 +597,14 @@ def _walk_path(report, path):
 
 
 def _run_entry(entry: CorpusEntry):
-    """All expectations of one corpus entry; entries are independent, so
-    the summary below is the only join point.  Expectations that probe
-    different fields of the same command share one computation."""
+    """(checks, ok, internal) for all expectations of one corpus entry;
+    entries are independent, so the summary below is the only join point.
+    Expectations that probe different fields of the same command share one
+    computation.  internal is whether any check failed on an
+    InternalError."""
     env = build_environment(entry.statements)
     checks = []
-    ok = True
+    ok, internal = True, False
     cache = {}
     for ex in entry.expects:
         call = f"{ex.command}({', '.join(expr_to_str(a) for a in ex.args)})"
@@ -636,12 +638,13 @@ def _run_entry(entry: CorpusEntry):
             check["pass"] = False
             checks.append(check)
             ok = False
+            internal = internal or isinstance(e, InternalError)
             continue
         check["actual"] = actual
         check["pass"] = _matches(actual, ex.value)
         ok = ok and check["pass"]
         checks.append(check)
-    return checks, ok
+    return checks, ok, internal
 
 
 def run_corpus(filter_pat=None, as_json=False, dir_path=None) -> int:
@@ -668,19 +671,21 @@ def run_corpus(filter_pat=None, as_json=False, dir_path=None) -> int:
             entries = [e for e in entries if filter_pat in e.name]
 
     results = []
-    all_ok = True
+    all_ok, any_internal = True, False
     timings = []
     for entry in entries:
         t0 = time.perf_counter()
         try:
-            checks, ok = _run_entry(entry)
+            checks, ok, internal = _run_entry(entry)
         except InputError as e:
-            checks, ok = [{"error": str(e), "pass": False}], False
+            checks, ok, internal = [{"error": str(e), "pass": False}], \
+                False, False
         timings.append(time.perf_counter() - t0)
         config = {k: _expected_json(v) for k, v in entry.config}
         results.append({"name": entry.name, "config": config,
                         "checks": checks, "passed": ok})
         all_ok = all_ok and ok
+        any_internal = any_internal or internal
 
     summary = {"entries": results, "all_passed": all_ok}
     if as_json:
@@ -700,6 +705,8 @@ def run_corpus(filter_pat=None, as_json=False, dir_path=None) -> int:
         verdict = "all passed" if all_ok else "FAILURES"
         sys.stdout.write(f"{len(results)} entries, {verdict}, "
                          f"{sum(timings):.2f}s total\n")
+    if any_internal:
+        return EXIT_INTERNAL
     return EXIT_OK if all_ok else EXIT_VERIFICATION
 
 

@@ -41,6 +41,7 @@ __all__ = [
     "residue_field_module",
     "direct_sum",
     "power_with_twists",
+    "power_scalar_hom",
     "tensor_product",
     "kernel",
     "kernel_columns",
@@ -285,14 +286,17 @@ class RingMatrix:
     def col_vec(self, j: int) -> dict:
         return self.cols[j]
 
-    def row_vecs(self):
-        """The rows as vectors indexed by column: row i is
-        {(j, exps): coeff}."""
+    def dual(self) -> "RingMatrix":
+        """The transpose with negated degrees: Hom(d, R) for the map d
+        between free modules that self presents.  Column i is row i of
+        self, {(j, exps): coeff}, filled in column order, so it is stored
+        as the normalising constructor would store it."""
         rows = [{} for _ in self.row_degrees]
         for j, v in enumerate(self.cols):
             for (i, e), c in v.items():
                 rows[i][(j, e)] = c
-        return rows
+        return RingMatrix(self.ring, rows, [-d for d in self.col_degrees],
+                          [-d for d in self.row_degrees], normal=True)
 
     def _entry_polys(self, v: dict) -> dict:
         """{row: polynomial} for the nonzero entries of a stored column."""
@@ -436,11 +440,12 @@ def block_matrix(ring: GradedRing, placed, row_degrees,
                  col_degrees) -> RingMatrix:
     """The matrix whose columns are given by placed = [(v, stride,
     offset)]: column vector v with row i moved to row i*stride + offset.
-    T (x) 1_n is [(column j of T, n, b) for each j, then b < n], and a
-    block diagonal puts each block's columns at its row offset.  The cost
-    grows with the number of nonzeros placed, not with the size of the
-    result.  Each v is stored as RingMatrix columns are, which placing
-    keeps, so each entry's degree is read once per v and only checked."""
+    T (x) 1_n is [(column j of T, n, b) for each j, then b < n], as
+    power_scalar_hom places it, and a block diagonal puts each block's
+    columns at its row offset.  The cost grows with the number of nonzeros
+    placed, not with the size of the result.  Each v is stored as
+    RingMatrix columns are, which placing keeps, so each entry's degree is
+    read once per v and only checked."""
     amb = ring.ambient
     cols, degs = [], {}  # id(v) -> {row: entry degree}; placed keeps v alive
     for j, ((v, s, o), cdeg) in enumerate(
@@ -686,6 +691,25 @@ def power_with_twists(W: FPModule, twists) -> FPModule:
     W.relgb  # force once so every twist shares it
     twisted = {d: W.twist(d) for d in set(twists)}
     return direct_sum([twisted[d] for d in twists])
+
+
+def power_scalar_hom(N: FPModule, T: RingMatrix, source=None,
+                     target=None) -> ModuleHom:
+    """T (x) 1_N: the map between direct sums of twisted copies of N whose
+    block (r, j) is multiplication by T[r][j].  Copy j of the source is N
+    twisted so that its generators sit col_degrees[j] above N's own, and
+    copy r of the target likewise by row_degrees[r], which makes the map
+    degree-correct whenever T is.  Hom(d, N) for a map d between free
+    modules is power_scalar_hom(N, d.dual()).  source and target, when
+    given, are those powers of N already built."""
+    if source is None:
+        source = power_with_twists(N, [-d for d in T.col_degrees])
+    if target is None:
+        target = power_with_twists(N, [-d for d in T.row_degrees])
+    n = N.ngens
+    mat = block_matrix(N.ring, [(v, n, b) for v in T.cols for b in range(n)],
+                       target.gen_degrees, source.gen_degrees)
+    return ModuleHom(source, target, mat)
 
 
 def tensor_product(M: FPModule, N: FPModule) -> FPModule:
@@ -960,14 +984,9 @@ class HomModule:
             self.gen_cols = list(self._inclusion.matrix.cols)
             self.gen_degrees = p0.gen_degrees
             return
-        p1 = power_with_twists(N, list(rel.col_degrees))
-        # rel^T (x) 1_N: an element of Hom(F0, N) composed with each relation
-        nN = N.ngens
-        big = block_matrix(R, [(v, nN, b) for v in rel.row_vecs()
-                               for b in range(nN)],
-                           p1.gen_degrees, p0.gen_degrees)
+        # Hom(rel, N): an element of Hom(F0, N) composed with each relation
         self.gen_cols, self.gen_degrees = kernel_columns(
-            ModuleHom(p0, p1, big))
+            power_scalar_hom(N, rel.dual(), source=p0))
 
     @property
     def module(self) -> FPModule:

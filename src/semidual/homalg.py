@@ -29,7 +29,6 @@ from .fpmod import (
     RingMatrix,
     TruncationError,
     annihilator,
-    block_matrix,
     cokernel,
     column_degree,
     free_module,
@@ -37,6 +36,7 @@ from .fpmod import (
     homology_is_zero,
     is_injective,
     kernel,
+    power_scalar_hom,
     power_with_twists,
     quotient_by_element,
     residue_field_module,
@@ -216,30 +216,17 @@ def resolution_complex(res: Resolution, length: int) -> ChainComplex:
 # ---------------------------------------------------------------------------
 # Ext.
 
-def _hom_into(N: FPModule, dmat: RingMatrix, p_prev=None) -> ModuleHom:
-    """Hom(d, N) for a boundary d between free modules: the block matrix
-    whose (column j, row r) block is multiplication by d[r][j].  p_prev,
-    when given, is the already built power of N the map starts from."""
-    if p_prev is None:
-        p_prev = power_with_twists(N, dmat.row_degrees)
-    p_next = power_with_twists(N, dmat.col_degrees)
-    nN = N.ngens
-    mat = block_matrix(N.ring, [(v, nN, b) for v in dmat.row_vecs()
-                                for b in range(nN)],
-                       p_next.gen_degrees, p_prev.gen_degrees)
-    return ModuleHom(p_prev, p_next, mat)
-
-
-def _ext_boundaries(N: FPModule, d_in, d_out, degrees):
-    """(T_in, T_out) = (Hom(d_in, N), Hom(d_out, N)) around the free module
-    F of the given degrees, for boundaries d_in out of F and d_out into F.
-    Both maps share the power Hom(F, N) of N.  T_in is None when d_in is;
-    T_out is the zero map into the zero module when d_out is None."""
-    t_in = None if d_in is None else _hom_into(N, d_in)
-    p = power_with_twists(N, degrees) if t_in is None else t_in.target
-    if d_out is None:
-        return t_in, zero_hom(p, FPModule(N.ring, ()))
-    return t_in, _hom_into(N, d_out, p)
+def _ext_boundaries(N: FPModule, t_in, t_out, degrees):
+    """(Hom(d_in, N), Hom(d_out, N)) around the free module F of the given
+    degrees, for boundaries d_in out of F and d_out into F, taken as their
+    duals t_in = d_in.dual() and t_out = d_out.dual().  Both maps share
+    the power Hom(F, N) of N.  The first is None when t_in is; the second
+    is the zero map into the zero module when t_out is None."""
+    h_in = None if t_in is None else power_scalar_hom(N, t_in)
+    p = power_with_twists(N, degrees) if h_in is None else h_in.target
+    if t_out is None:
+        return h_in, zero_hom(p, FPModule(N.ring, ()))
+    return h_in, power_scalar_hom(N, t_out, source=p)
 
 
 def _boundaries_at(res: Resolution, i: int):
@@ -257,10 +244,12 @@ def ext_module(M: FPModule, N: FPModule, i: int) -> FPModule:
     res = free_resolution(M, i + 1)
     if res.betti(i) == 0 or N.ngens == 0:
         return FPModule(M.ring, ())
-    t_in, t_out = _ext_boundaries(N, *_boundaries_at(res, i), res.degrees(i))
-    if t_in is None:
-        return kernel(t_out)[0]
-    return homology_at(t_in, t_out)
+    h_in, h_out = _ext_boundaries(
+        N, *(None if d is None else d.dual() for d in _boundaries_at(res, i)),
+        res.degrees(i))
+    if h_in is None:
+        return kernel(h_out)[0]
+    return homology_at(h_in, h_out)
 
 
 def first_nonvanishing_ext(M: FPModule, N: FPModule, lo: int, hi: int):
@@ -301,37 +290,36 @@ def _ext_vanishes(res: Resolution, N: FPModule, i: int) -> bool:
     if not degs or N.ngens == 0:
         return True
     d_in, d_out = _boundaries_at(res, i)
+    t_in = None if d_in is None else d_in.dual()
 
-    def exact(d_in, d_out, degrees):
-        t_in, t_out = _ext_boundaries(N, d_in, d_out, degrees)
-        if t_in is None:
-            return is_injective(t_out)
-        return homology_is_zero(t_in, t_out)
+    def exact(t_in, t_out, degrees):
+        h_in, h_out = _ext_boundaries(N, t_in, t_out, degrees)
+        if h_in is None:
+            return is_injective(h_out)
+        return homology_is_zero(h_in, h_out)
 
     R = N.ring
     amb = R.ambient
     units = [{(j, amb._zero_exps): 1} for j in range(len(degs))]
-    blocks = row_blocks((d_in.row_vecs() if d_in else [],
+    blocks = row_blocks((t_in.cols if t_in else [],
                          d_out.cols if d_out else [], units))
     if blocks is None:
-        return exact(d_in, d_out, degs)
+        return exact(t_in, None if d_out is None else d_out.dual(), degs)
 
     def component(_n, idx, rows, cols, _units):
         f = [degs[j] for j in idx]
         sub_in = sub_out = None
         if rows:
-            # a row of d_i in a block has an entry, whose degree fixes
-            # the row's degree
-            rdegs = [f[j] - amb.wdeg(e) for j, e in map(next, map(iter, rows))]
-            tcols = [{} for _ in f]
-            for r, v in enumerate(rows):
-                for (j, e), c in v.items():
-                    tcols[j][(r, e)] = c
-            sub_in = RingMatrix(R, tcols, rdegs, f, normal=True)
+            # the rows of d_i in a block are the columns of its dual; each
+            # has an entry, whose degree fixes the column's degree
+            sub_in = RingMatrix(
+                R, rows, [-d for d in f],
+                [amb.wdeg(e) - f[j] for j, e in map(next, map(iter, rows))],
+                normal=True)
         if cols:
             sub_out = RingMatrix(R, cols, f,
                                  [column_degree(amb, v, f) for v in cols],
-                                 normal=True)
+                                 normal=True).dual()
         return exact(sub_in, sub_out, f)
     return all(ok for ok, _ in solve_blocks(blocks, component))
 
@@ -366,8 +354,6 @@ def koszul_boundary(M: FPModule, i: int) -> ModuleHom:
     prev = list(itertools.combinations(range(n), i - 1))
     prev_index = {s: t for t, s in enumerate(prev)}
     wsum = lambda s: sum(amb.weights[j] for j in s)
-    src = power_with_twists(M, [-wsum(s) for s in subsets])
-    tgt = power_with_twists(M, [-wsum(s) for s in prev])
     var = [amb.variable(j).terms[0][0] for j in range(n)]
     # the boundary on the free Koszul complex, then (x) 1_M
     cols = [{(prev_index[s[:pos] + s[pos + 1:]], var[j]):
@@ -375,10 +361,7 @@ def koszul_boundary(M: FPModule, i: int) -> ModuleHom:
             for s in subsets]
     free = RingMatrix(R, cols, [wsum(s) for s in prev],
                       [wsum(s) for s in subsets])
-    nM = M.ngens
-    mat = block_matrix(R, [(v, nM, a) for v in free.cols for a in range(nM)],
-                       tgt.gen_degrees, src.gen_degrees)
-    return ModuleHom(src, tgt, mat)
+    return power_scalar_hom(M, free)
 
 
 def depth_koszul(M: FPModule) -> int:

@@ -26,7 +26,6 @@ from .fpmod import (
     ModuleHom,
     RingMatrix,
     annihilator,
-    block_matrix,
     free_module,
     hom_is_isomorphism,
     homology_is_zero,
@@ -37,6 +36,7 @@ from .fpmod import (
     is_nzd_on,
     is_surjective,
     kernel_of_scalar,
+    power_scalar_hom,
     power_with_twists,
     quotient_by_element,
     scalar_hom,
@@ -66,7 +66,6 @@ __all__ = [
     "ABReport",
     "default_ext_bound",
     "check_semidualizing",
-    "power_scalar_hom",
     "split_surjection",
     "bass_class_check",
     "evaluation_hom",
@@ -206,25 +205,6 @@ def check_semidualizing(C: FPModule, ext_bound=None) -> SemidualizingCertificate
     return SemidualizingCertificate(
         R, C, end_count, identity_generates, faithful, excess,
         ext_bound, True, first_bad, witness, verdict)
-
-
-# ---------------------------------------------------------------------------
-# Block maps between direct sums of copies of a fixed module.
-
-def power_scalar_hom(C: FPModule, tmat: RingMatrix) -> ModuleHom:
-    """The map between direct sums of twisted copies of C whose block
-    (r, j) is multiplication by tmat[r][j].
-
-    Copy j of the source is C twisted so that its generators sit at
-    degree col_degrees[j] above C's own; likewise for the target rows,
-    which makes the block matrix degree-correct whenever tmat is."""
-    src = power_with_twists(C, [-d for d in tmat.col_degrees])
-    tgt = power_with_twists(C, [-d for d in tmat.row_degrees])
-    nC = C.ngens
-    mat = block_matrix(C.ring, [(v, nC, b) for v in tmat.cols
-                                for b in range(nC)],
-                       tgt.gen_degrees, src.gen_degrees)
-    return ModuleHom(src, tgt, mat)
 
 
 def split_surjection(T: RingMatrix, C=None):
@@ -474,11 +454,8 @@ def c_resolution(H: HomModule, max_length=None) -> CResolution:
 
     powers = [power_with_twists(C, [-d for d in res.degrees(i)])
               for i in range(length + 1)]
-    cmaps = [power_scalar_hom(C, res.maps[i]) for i in range(length)]
-    for i, m in enumerate(cmaps):
-        # power_scalar_hom rebuilds the power modules; reuse one set so the
-        # complex's maps share sources and targets.
-        cmaps[i] = ModuleHom(powers[i + 1], powers[i], m.matrix)
+    cmaps = [power_scalar_hom(C, res.maps[i], powers[i + 1], powers[i])
+             for i in range(length)]
     cplx = ChainComplex(powers, cmaps)
 
     # Augmentation: generator t of the minimal Hom presentation carries a

@@ -182,9 +182,9 @@ def test_split_without_module_omits_power_check(tmp_path, capsys):
     assert "image_rank" in out and "power_check" not in out
 
 
-def test_run_internal_fault_exit_code(tmp_path, capsys, monkeypatch):
-    """A broken invariant exits 4, apart from a failed verdict (1): here
-    unit_pivots hands split_surjection zero row operations, so its
+@pytest.fixture
+def broken_split(monkeypatch):
+    """unit_pivots hands split_surjection zero row operations, so its
     section identity fails."""
     real = semidual.semidual.unit_pivots
 
@@ -193,6 +193,10 @@ def test_run_internal_fault_exit_code(tmp_path, capsys, monkeypatch):
         return pivots, W, [[R.ambient.zero()] * len(row) for row in L]
 
     monkeypatch.setattr(semidual.semidual, "unit_pivots", broken)
+
+
+def test_run_internal_fault_exit_code(tmp_path, capsys, broken_split):
+    """A broken invariant exits 4, apart from a failed verdict (1)."""
     session = ("ring R { char 101; vars x y; }\n"
                "matrix T over R {\n"
                "    rowdegs 0;\n"
@@ -203,6 +207,32 @@ def test_run_internal_fault_exit_code(tmp_path, capsys, monkeypatch):
     assert main(["run", _write(tmp_path, session)]) == EXIT_INTERNAL
     err = capsys.readouterr().err
     assert "internal error: splitting identities failed: section" in err
+
+
+def test_corpus_internal_fault_exit_code(tmp_path, capsys, monkeypatch,
+                                        broken_split):
+    """An internal fault in a corpus check exits 4, not 1, and the JSON
+    summary records it as a failed check like any other error.  The same
+    entry passes once unit_pivots is whole again."""
+    _write(tmp_path, 'corpus "split-fault" {\n'
+           "    ring R { char 101; vars x y; }\n"
+           "    matrix T over R {\n"
+           "        rowdegs 0;\n"
+           "        coldegs 0 1;\n"
+           "        cols { [1]; [x]; }\n"
+           "    }\n"
+           "    config { seed 0; }\n"
+           '    expect split(T).image_rank = 1 via "one unit pivot";\n'
+           "}\n", name="fault.sd")
+    assert main(["corpus", "--dir", str(tmp_path), "--json"]) == EXIT_INTERNAL
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["all_passed"] is False
+    [check] = summary["entries"][0]["checks"]
+    assert check["pass"] is False
+    assert check["error"].startswith("splitting identities failed: section")
+    monkeypatch.undo()
+    assert main(["corpus", "--dir", str(tmp_path), "--json"]) == EXIT_OK
+    capsys.readouterr()
 
 
 def test_fmt_canonical_and_idempotent(tmp_path, capsys):

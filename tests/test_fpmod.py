@@ -372,7 +372,7 @@ def test_block_matrix_equals_the_normal_forming_build(all_corpus):
         for rel in (corp.C.relations, corp.k.relations):
             twists = (0, 2)
             n = len(twists)
-            placed = [(v, n, b) for v in rel.row_vecs() for b in range(n)]
+            placed = [(v, n, b) for v in rel.dual().cols for b in range(n)]
             rdegs = [t - d for d in rel.col_degrees for t in twists]
             cdegs = [t - d for d in rel.row_degrees for t in twists]
             got = fpmod.block_matrix(R, placed, rdegs, cdegs)

@@ -1,21 +1,26 @@
 """Resolutions, Ext, depth, dimension, Hilbert series."""
 
+import itertools
 import os
 import random
 
 import pytest
 
 import semidual
-from semidual import homalg
+from semidual import fpmod, homalg
 from semidual.cli import build_environment
 from semidual.polyring import PolyRing, PrimeField
 from semidual.groebner import GradedRing
 from semidual.fpmod import (
     FPModule,
+    HomModule,
+    ModuleHom,
     RingMatrix,
     direct_sum,
     free_module,
     is_isomorphic,
+    kernel_columns,
+    power_scalar_hom,
     quotient_by_element,
     residue_field_module,
 )
@@ -37,7 +42,7 @@ from semidual.homalg import (
     regular_sequence_search,
     resolution_complex,
 )
-from semidual.semidual import check_semidualizing, power_scalar_hom
+from semidual.semidual import check_semidualizing
 from semidual.session import parse_session
 
 from conftest import make_hypersurface, make_poly_xy, make_semigroup
@@ -264,10 +269,12 @@ def test_walk_decides_each_distinct_component_once(monkeypatch):
     """The Ext(omega, omega) walk over the semigroup ring runs
     homology_is_zero once per distinct component of d_i and d_{i+1}, and
     builds no power of omega with more copies than the largest component
-    has nodes in one free module, far fewer than the Betti numbers."""
+    has nodes in one free module, far fewer than the Betti numbers.
+    Powers are counted both where homalg builds them and where
+    fpmod.power_scalar_hom does."""
     decided, copies = [], []
     real_exact, real_power = homalg.homology_is_zero, \
-        homalg.power_with_twists
+        fpmod.power_with_twists
 
     def spy_exact(into, outof):
         decided.append(into)
@@ -279,6 +286,7 @@ def test_walk_decides_each_distinct_component_once(monkeypatch):
 
     monkeypatch.setattr(homalg, "homology_is_zero", spy_exact)
     monkeypatch.setattr(homalg, "power_with_twists", spy_power)
+    monkeypatch.setattr(fpmod, "power_with_twists", spy_power)
     sg = make_semigroup()
     top = 6
     assert first_nonvanishing_ext(sg.C, sg.C, 1, top) is None
@@ -347,14 +355,16 @@ def test_walker_matches_assembled_ext_on_random_modules(monkeypatch,
 
 
 def test_second_certificate_builds_no_hom_map(monkeypatch):
+    """The Ext walk's Hom maps are counted where homalg calls the builder,
+    so HomModule's own calls inside fpmod are not."""
     built = []
-    real = homalg._hom_into
+    real = homalg.power_scalar_hom
 
-    def counting(*args):
+    def counting(*args, **kwargs):
         built.append(args)
-        return real(*args)
+        return real(*args, **kwargs)
 
-    monkeypatch.setattr(homalg, "_hom_into", counting)
+    monkeypatch.setattr(homalg, "power_scalar_hom", counting)
     omega = make_semigroup().C
     first = check_semidualizing(omega, ext_bound=3)
     n_first = len(built)
@@ -426,14 +436,14 @@ def test_block_maps_match_dense_matrices(plane, curve):
     x, y = S.variable(0), S.variable(1)
     z0 = S.zero()
     d = RingMatrix.from_rows(R, [[x, y]], (0,), (1, 1))
-    t = homalg._hom_into(free_module(R, (0, 0)), d)
+    t = power_scalar_hom(free_module(R, (0, 0)), d.dual())
     assert dense(t.matrix) == [[x, z0], [z0, x], [y, z0], [z0, y]]
     k = residue_field_module(R)
     assert dense(homalg.koszul_boundary(k, 2).matrix) == [[-y], [x]]
     S3, R3, W = curve
     x, y, z = (S3.variable(i) for i in range(3))
     z0 = S3.zero()
-    t = homalg._hom_into(W, W.relations)
+    t = power_scalar_hom(W, W.relations.dual())
     assert dense(t.matrix) == [[R3.nf(f) for f in row] for row in [
         [z, z0, x * x, z0],
         [z0, z, z0, x * x],
@@ -454,3 +464,105 @@ def test_block_maps_match_dense_matrices(plane, curve):
         [z0, x, z0, y],
         [z0, z0, x, z0],
         [z0, z0, z0, x]]
+
+
+# Reference placements of T (x) 1_N, each written out by hand: Hom(d, N)
+# from the rows of d, and the Koszul boundary on the free complex (x) 1_M.
+
+def _rows(mat):
+    """The rows of mat as vectors indexed by column."""
+    rows = [{} for _ in mat.row_degrees]
+    for j, v in enumerate(mat.cols):
+        for (i, e), c in v.items():
+            rows[i][(j, e)] = c
+    return rows
+
+
+def _ref_hom_into(N, dmat, p_prev=None):
+    """Hom(d, N): block (column j, row r) is multiplication by d[r][j]."""
+    if p_prev is None:
+        p_prev = fpmod.power_with_twists(N, dmat.row_degrees)
+    p_next = fpmod.power_with_twists(N, dmat.col_degrees)
+    nN = N.ngens
+    mat = fpmod.block_matrix(N.ring, [(v, nN, b) for v in _rows(dmat)
+                                      for b in range(nN)],
+                             p_next.gen_degrees, p_prev.gen_degrees)
+    return ModuleHom(p_prev, p_next, mat)
+
+
+def _ref_koszul(M, i):
+    R = M.ring
+    amb = R.ambient
+    n = amb.nvars
+    subsets = list(itertools.combinations(range(n), i))
+    prev = list(itertools.combinations(range(n), i - 1))
+    prev_index = {s: t for t, s in enumerate(prev)}
+    wsum = lambda s: sum(amb.weights[j] for j in s)
+    src = fpmod.power_with_twists(M, [-wsum(s) for s in subsets])
+    tgt = fpmod.power_with_twists(M, [-wsum(s) for s in prev])
+    var = [amb.variable(j).terms[0][0] for j in range(n)]
+    cols = [{(prev_index[s[:pos] + s[pos + 1:]], var[j]):
+             1 if pos % 2 == 0 else -1 for pos, j in enumerate(s)}
+            for s in subsets]
+    free = RingMatrix(R, cols, [wsum(s) for s in prev],
+                      [wsum(s) for s in subsets])
+    nM = M.ngens
+    mat = fpmod.block_matrix(R, [(v, nM, a) for v in free.cols
+                                 for a in range(nM)],
+                             tgt.gen_degrees, src.gen_degrees)
+    return ModuleHom(src, tgt, mat)
+
+
+def _same_hom(got, want):
+    storage = lambda m: [list(v.items()) for v in m.matrix.cols]
+    return (storage(got) == storage(want) and got.source == want.source
+            and got.target == want.target)
+
+
+def test_power_scalar_hom_matches_reference_placements():
+    """On every pair of modules of one corpus entry, the builder gives the
+    reference Hom(d, N) for each boundary d of the resolution up to 4,
+    alone and chained onto the previous map's target as the Ext walk
+    chains them, and HomModule's kernel is that of the reference
+    Hom(relations, N).  Every Koszul boundary matches the reference too,
+    and dual() is an involution stored as the normalising constructor
+    stores the transposed entries."""
+    by_entry = {}
+    for (entry, _name), M in _corpus_modules().items():
+        by_entry.setdefault(entry, []).append(M)
+    maps = 0
+    for mods in by_entry.values():
+        for M in mods:
+            R = M.ring
+            res = free_resolution(M, 4)
+            ds = res.maps[:4]
+            for d in ds + [M.relations]:
+                dual = d.dual()
+                assert dual.dual() == d
+                want = RingMatrix.from_rows(
+                    R, [d.column(j) for j in range(d.ncols)],
+                    [-g for g in d.col_degrees], [-g for g in d.row_degrees])
+                assert dual == want
+                assert [list(v.items()) for v in dual.cols] == \
+                    [list(v.items()) for v in want.cols]
+            for i in range(1, R.ambient.nvars + 1):
+                assert _same_hom(homalg.koszul_boundary(M, i),
+                                 _ref_koszul(M, i))
+                maps += 1
+            for N in mods:
+                prev = None
+                for d in ds:
+                    want = _ref_hom_into(N, d, prev and prev.target)
+                    assert _same_hom(power_scalar_hom(N, d.dual()),
+                                     _ref_hom_into(N, d))
+                    assert _same_hom(power_scalar_hom(
+                        N, d.dual(), source=prev and prev.target), want)
+                    prev = want
+                    maps += 1
+                rel = M.relations
+                if M.ngens and rel.ncols and N.ngens:
+                    H = HomModule(M, N)
+                    assert (H.gen_cols, H.gen_degrees) == kernel_columns(
+                        _ref_hom_into(N, rel))
+                    maps += 1
+    assert maps == 145
