@@ -3,18 +3,23 @@
     python3 scripts/output_digests.py ../parent .
 
 For each checkout this prints the sha256 of `semidual corpus --json` (with
-its exit code) and, for seeds 1-3, the sha256 of the `random` workload's
-round fingerprint,
+its exit code); for seeds 1-3, the sha256 of the `random` workload's round
+fingerprint,
 
     json.dumps(workloads.fingerprint(run_round(make_batch("random", seed))),
                sort_keys=True)
+
+and the sha256 of the minimal free resolutions to length 10 of every
+module of the bundled corpus, in file, entry and declaration order: per
+module its name, the degrees of F_0 and, per boundary, its row and column
+degrees and its columns as stored, each column's dict in its own order.
 
 Each is computed in a fresh process with the checkout's `src/` and
 `perfbench/` as its only PYTHONPATH entries, SEMIDUAL_EXT_BOUND removed and
 PYTHONHASHSEED=0, as the benchmark runs it.  perfbench/workloads.py is only
 imported, and no bytecode is written into the checkout.  Exits 1 when two
 checkouts differ in any digest, 2 when a checkout has no `src/semidual` or
-its fingerprint run fails, else 0.  Standard library only.
+its fingerprint or resolution run fails, else 0.  Standard library only.
 """
 
 import argparse
@@ -34,6 +39,27 @@ for seed in map(int, sys.argv[1:]):
     fp = workloads.fingerprint(workloads.run_round(batch))
     text = json.dumps(fp, sort_keys=True)
     print(hashlib.sha256(text.encode()).hexdigest())
+"""
+
+RESOLUTIONS = """\
+import hashlib, os
+import semidual
+from semidual.cli import build_environment
+from semidual.homalg import free_resolution
+from semidual.session import parse_session
+corpus = os.path.join(os.path.dirname(semidual.__file__), "corpus")
+h = hashlib.sha256()
+for fname in sorted(os.listdir(corpus)):
+    with open(os.path.join(corpus, fname)) as f:
+        spec = parse_session(f.read())
+    for entry in spec.corpus_entries():
+        for name, M in build_environment(entry.statements).modules.items():
+            res = free_resolution(M, 10)
+            h.update(repr((entry.name, name, res.f0)).encode())
+            for d in res.maps:
+                h.update(repr((d.row_degrees, d.col_degrees,
+                               [list(v.items()) for v in d.cols])).encode())
+print(h.hexdigest())
 """
 
 
@@ -70,6 +96,11 @@ def digests(checkout):
              f"(exit {fps.returncode})")
     for seed, line in zip(SEEDS, lines):
         out[f"random seed {seed}"] = line
+    res = run(checkout, ["-c", RESOLUTIONS])
+    if res.returncode != 0:
+        sys.stderr.write(res.stderr.decode())
+        fail(f"{checkout}: the resolution run failed (exit {res.returncode})")
+    out["resolutions"] = res.stdout.decode().strip()
     return out
 
 

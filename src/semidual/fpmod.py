@@ -23,7 +23,9 @@ from .groebner import (
     IncrementalSpan,
     ModuleGB,
     RelativeTracker,
+    block_key,
     buchberger,
+    key_families,
     relative_kernel,
     row_blocks,
     solve_blocks,
@@ -516,10 +518,12 @@ class FPModule:
     """coker(relations) with the given generator degrees.
 
     _ext holds Ext vanishing verdicts into this module, per resolution of
-    the source and per index (see homalg.first_nonvanishing_ext)."""
+    the source and per index, and _exact the exactness of Hom into this
+    module per component key (see homalg.first_nonvanishing_ext).  No
+    cache of a module points back at it."""
 
     __slots__ = ("ring", "gen_degrees", "relations",
-                 "_relgb", "_min", "_ann", "_resolution", "_ext")
+                 "_relgb", "_min", "_ann", "_resolution", "_ext", "_exact")
 
     def __init__(self, ring: GradedRing, gen_degrees, relations=None):
         self.ring = ring
@@ -536,6 +540,7 @@ class FPModule:
         self._ann = None
         self._resolution = None
         self._ext = None
+        self._exact = None
 
     @property
     def ngens(self) -> int:
@@ -599,31 +604,32 @@ class FPModule:
         degree-zero maps to and from self.  Unit entries in the relation
         matrix are eliminated by unit_pivots, which drops each pivot's
         generator; the relations left on the surviving generators are then
-        thinned to a minimal generating set in increasing degree."""
-        if self._min is not None:
-            return self._min
-        R = self.ring
-        pivots, W, L = unit_pivots(R, self.relations.entries)
-        pivot_rows = {i for i, _ in pivots}
-        pivot_cols = {j for _, j in pivots}
-        surviving = [i for i in range(self.ngens) if i not in pivot_rows]
-        gens = tuple(self.gen_degrees[i] for i in surviving)
-        cols = [tuple_to_vec([W[i][j] for i in surviving])
-                for j in range(self.relations.ncols) if j not in pivot_cols]
-        kept = min_generate_columns(R, cols, gens)
-        rel = RingMatrix(R, [v for _, v, _ in kept], gens,
-                         [d for _, _, d in kept])
-        N = FPModule(R, gens, rel)
-        proj_hom = ModuleHom(
-            self, N, RingMatrix.from_rows(R, [L[i] for i in surviving], gens,
-                                          self.gen_degrees))
-        zero = R.ambient._zero_exps
-        inj_hom = ModuleHom(
-            N, self,
-            RingMatrix(R, [{(o, zero): 1} for o in surviving],
-                       self.gen_degrees, gens))
-        self._min = (N, proj_hom, inj_hom)
-        return self._min
+        thinned to a minimal generating set in increasing degree.
+
+        _min keeps N and the two matrices only, and the maps are rebuilt
+        per call, so that no cached object points back at self."""
+        if self._min is None:
+            R = self.ring
+            pivots, W, L = unit_pivots(R, self.relations.entries)
+            pivot_rows = {i for i, _ in pivots}
+            pivot_cols = {j for _, j in pivots}
+            surviving = [i for i in range(self.ngens) if i not in pivot_rows]
+            gens = tuple(self.gen_degrees[i] for i in surviving)
+            cols = [tuple_to_vec([W[i][j] for i in surviving])
+                    for j in range(self.relations.ncols)
+                    if j not in pivot_cols]
+            kept = min_generate_columns(R, cols, gens)
+            rel = RingMatrix(R, [v for _, v, _ in kept], gens,
+                             [d for _, _, d in kept])
+            zero = R.ambient._zero_exps
+            self._min = (
+                FPModule(R, gens, rel),
+                RingMatrix.from_rows(R, [L[i] for i in surviving], gens,
+                                     self.gen_degrees),
+                RingMatrix(R, [{(o, zero): 1} for o in surviving],
+                           self.gen_degrees, gens))
+        N, proj, inj = self._min
+        return N, ModuleHom(self, N, proj), ModuleHom(N, self, inj)
 
     def describe(self) -> dict:
         return {
@@ -829,14 +835,60 @@ def kernel_generators(phi: ModuleHom):
 def syzygies(mat: RingMatrix) -> RingMatrix:
     """Minimal generators of the kernel of the free-module map given by mat,
     as a matrix whose columns are the syzygies; zero columns when the map is
-    injective."""
+    injective.
+
+    Solved one connected component of mat's support at a time: rows and
+    columns are linked by each nonzero entry, a zero column is a component
+    of its own, and an unsplit matrix is one component.  Each is keyed by
+    its renumbered entries (row_blocks over the columns, with one tracking
+    row per column), so equal keys are one block up to a twist.  A
+    distinct key is solved once per ring and kept in R._syz, with degrees
+    relative to the block's first column.  The syzygies are sorted by
+    degree, then by their index in the kernel of the whole matrix, which
+    lists the blocks in order of first column.  That is the order, and by
+    the row_blocks argument the choice, of min_generate_columns over the
+    whole kernel."""
     R = mat.ring
-    raw = [u for u in relative_kernel(R.ambient, mat.cols,
-                                      inflation_vectors(R, mat.nrows),
-                                      mat.nrows) if u]
-    kept = min_generate_columns(R, raw, mat.col_degrees)
-    return RingMatrix(R, [v for _, v, _ in kept], mat.col_degrees,
-                      [d for _, _, d in kept])
+    degs = mat.col_degrees
+    blocks = row_blocks((mat.cols,), mat.nrows)
+    if blocks is None:
+        rows = sorted({r for v in mat.cols for r, _ in v})
+        blocks = [(block_key(len(rows) + mat.ncols, [mat.cols],
+                             dict(zip(rows, range(len(rows))))),
+                   range(mat.ncols))] if mat.ncols else []
+    out = []
+    offset = 0
+    for key, idx in blocks:
+        shift = degs[idx[0]]
+        hit = R._syz.get(key)
+        if hit is None:
+            hit = R._syz[key] = _component_syzygies(
+                R, key, [degs[j] - shift for j in idx])
+        nraw, kept = hit
+        out += [(d + shift, offset + t,
+                 {(idx[r], e): c for (r, e), c in v.items()})
+                for d, t, v in kept]
+        offset += nraw
+    out.sort(key=lambda c: c[:2])
+    return RingMatrix(R, [v for _, _, v in out], degs,
+                      [d for d, _, _ in out], normal=True)
+
+
+def _component_syzygies(R: GradedRing, key, degrees):
+    """(raw count, ((degree, raw index, column), ...)) for the block of
+    syzygies with this key: the nonzero kernel vectors of its columns, then
+    the minimal generators among them, each in the storage of RingMatrix,
+    with the block's columns of the given degrees."""
+    (cols,) = key_families(key)
+    nrows = key[0] - len(cols)
+    raw = [u for u in RelativeTracker(R.ambient, cols,
+                                      inflation_vectors(R, nrows),
+                                      nrows).kernel_vectors() if u]
+    kept = min_generate_columns(R, raw, degrees)
+    mat = RingMatrix(R, [v for _, v, _ in kept], degrees,
+                     [d for _, _, d in kept])
+    return len(raw), tuple((d, t, v)
+                           for (t, _, d), v in zip(kept, mat.cols))
 
 
 def minimal_generators(M: FPModule):

@@ -43,6 +43,8 @@ __all__ = [
     "IncrementalSpan",
     "relative_kernel",
     "row_blocks",
+    "block_key",
+    "key_families",
     "solve_blocks",
     "vec_from_poly",
     "vec_scale",
@@ -423,20 +425,41 @@ def relative_kernel(ring: PolyRing, columns, seed, rank: int):
             for kern, js in solve_blocks(blocks, solve) for u in kern]
 
 
-def solve_blocks(blocks, solve):
+def solve_blocks(blocks, solve, solved=None):
     """(solve(nrows, indices, *families), indices) for each (key, indices)
-    of row_blocks, in order, with the families as lists of fresh dicts.
-    solve runs once per distinct key, on the first block with that key, and
-    copies reuse its result; the memo lives for one call.  Lazy, so a
-    caller may stop at the first block it needs."""
-    solved = {}
+    of row_blocks, in order, with the families of key_families.  solve
+    runs once per distinct key, on the first block with that key, and
+    copies reuse its result.  The results are kept in `solved`, by key: a
+    caller's dict outlives the call, the default one lives for it.  Lazy,
+    so a caller may stop at the first block it needs."""
+    if solved is None:
+        solved = {}
     for key, idx in blocks:
         if key not in solved:
-            solved[key] = solve(key[0], idx, *[
-                [dict(itertools.islice(items, n)) for n in lens]
-                for lens, rows, exps, coeffs in key[1:]
-                for items in [zip(zip(rows, exps), coeffs)]])
+            solved[key] = solve(key[0], idx, *key_families(key))
         yield solved[key], idx
+
+
+def key_families(key):
+    """The families of a block key (see row_blocks), as lists of fresh
+    dicts."""
+    return [[dict(itertools.islice(items, n)) for n in lens]
+            for lens, rows, exps, coeffs in key[1:]
+            for items in [zip(zip(rows, exps), coeffs)]]
+
+
+def block_key(nrows, families, new):
+    """The key row_blocks gives a block of nrows rows holding the vectors
+    of families, with row r relabelled new[r]."""
+    key = [nrows]
+    for vecs in families:
+        terms = list(itertools.chain.from_iterable(vecs))
+        key.append((tuple(map(len, vecs)),
+                    tuple(map(new.__getitem__, map(itemgetter(0), terms))),
+                    tuple(map(itemgetter(1), terms)),
+                    tuple(itertools.chain.from_iterable(
+                        map(dict.values, vecs)))))
+    return tuple(key)
 
 
 def row_blocks(families, rank=None):
@@ -515,18 +538,8 @@ def row_blocks(families, rank=None):
                 m = members.get(root_of[r])
                 if m is not None:
                     m[f].append(v)
-    out = []
-    for b, idx in blocks.items():
-        key = [size[b]]
-        for vecs in members[b]:
-            terms = list(itertools.chain.from_iterable(vecs))
-            key.append((tuple(map(len, vecs)),
-                        tuple(map(new.__getitem__, map(itemgetter(0), terms))),
-                        tuple(map(itemgetter(1), terms)),
-                        tuple(itertools.chain.from_iterable(
-                            map(dict.values, vecs)))))
-        out.append((tuple(key), idx))
-    return out
+    return [(block_key(size[b], members[b], new), idx)
+            for b, idx in blocks.items()]
 
 
 # ---------------------------------------------------------------------------
@@ -657,7 +670,8 @@ class GradedRing:
     homogeneous ideal, presented by a reduced Groebner basis.  Plays the role
     of a local ring with maximal ideal generated by the variables."""
 
-    __slots__ = ("ambient", "ideal", "_dim", "_std_cache", "_kres", "name")
+    __slots__ = ("ambient", "ideal", "_dim", "_std_cache", "_kres", "_syz",
+                 "name")
 
     def __init__(self, ambient: PolyRing, ideal_gens, name: str = "R"):
         self.ambient = ambient
@@ -677,6 +691,7 @@ class GradedRing:
         self._dim = None
         self._std_cache = {}
         self._kres = None
+        self._syz = {}
         self.name = name
 
     @property

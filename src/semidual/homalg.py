@@ -44,7 +44,7 @@ from .fpmod import (
     syzygies,
     zero_hom,
 )
-from .groebner import ideal_dimension, row_blocks, solve_blocks
+from .groebner import block_key, ideal_dimension, row_blocks, solve_blocks
 
 __all__ = [
     "TruncationError",
@@ -81,25 +81,22 @@ class Resolution:
 
     maps[i] is the boundary F_{i+1} -> F_i; F_0 covers the minimal
     presentation of the module.  complete means the next syzygy module
-    vanished, so the projective dimension equals len(maps)."""
+    vanished, so the projective dimension equals len(maps).  It keeps no
+    pointer to the module it resolves, which caches it."""
 
-    __slots__ = ("module", "minimal_module", "f0", "maps", "complete")
+    __slots__ = ("ring", "f0", "maps", "complete")
 
     def __init__(self, module: FPModule):
-        self.module = module
-        self.minimal_module = module.minimal()[0]
-        self.f0 = self.minimal_module.gen_degrees
-        rel = self.minimal_module.relations
+        self.ring = module.ring
+        Mm = module.minimal()[0]
+        self.f0 = Mm.gen_degrees
+        rel = Mm.relations
         if rel.ncols == 0:
             self.maps = []
             self.complete = True
         else:
             self.maps = [rel]
             self.complete = False
-
-    @property
-    def ring(self) -> GradedRing:
-        return self.module.ring
 
     def ensure(self, length: int):
         """Extend until len(maps) >= length or the resolution terminates."""
@@ -137,10 +134,9 @@ def free_resolution(M: FPModule, length: int) -> Resolution:
 
 
 def k_resolution(R: GradedRing, length: int) -> Resolution:
-    """The cached resolution of the residue field, shared per ring; it is
-    also the cached resolution of its own module."""
+    """The cached resolution of the residue field, shared per ring."""
     if R._kres is None:
-        R._kres = free_resolution(residue_field_module(R), 0)
+        R._kres = Resolution(residue_field_module(R))
     return R._kres.ensure(length)
 
 
@@ -258,7 +254,11 @@ def first_nonvanishing_ext(M: FPModule, N: FPModule, lo: int, hi: int):
     Each index is decided by _ext_vanishes on the cached resolution of M,
     by membership checks only.  The verdicts are memoised on N, keyed by
     M's resolution; only the booleans are kept, never the maps."""
-    res = free_resolution(M, 0)
+    return _first_nonvanishing(free_resolution(M, 0), N, lo, hi)
+
+
+def _first_nonvanishing(res: Resolution, N: FPModule, lo: int, hi: int):
+    """first_nonvanishing_ext for the module that res resolves."""
     if N._ext is None:
         N._ext = {}
     memo = N._ext.setdefault(res, {})
@@ -279,11 +279,13 @@ def _ext_vanishes(res: Resolution, N: FPModule, i: int) -> bool:
     sum of the components' subcomplexes, and it is exact at i exactly when
     each summand is.  row_blocks finds the components that touch F_i: the
     rows of d_i and the columns of d_{i+1} are vectors over F_i, and one
-    unit vector per basis element of F_i puts each of them in a block.  A
+    unit vector per basis element of F_i puts each of them in a block, and
+    an unsplit complex is one block with a key of the same form.  A
     block's key holds its renumbered entries only, so blocks with equal
     keys are one subcomplex up to a twist, which keeps exactness.  Each
-    distinct key is decided once, on its own small Hom maps, up to the
-    first that fails; a component with no part in F_{i-1} is decided by
+    distinct key is decided once per target, on its own small Hom maps, up
+    to the first that fails, and kept in N._exact for every later index and
+    source; a component with no part in F_{i-1} is decided by
     injectivity."""
     res.ensure(i + 1)
     degs = res.degrees(i)
@@ -291,20 +293,15 @@ def _ext_vanishes(res: Resolution, N: FPModule, i: int) -> bool:
         return True
     d_in, d_out = _boundaries_at(res, i)
     t_in = None if d_in is None else d_in.dual()
-
-    def exact(t_in, t_out, degrees):
-        h_in, h_out = _ext_boundaries(N, t_in, t_out, degrees)
-        if h_in is None:
-            return is_injective(h_out)
-        return homology_is_zero(h_in, h_out)
-
     R = N.ring
     amb = R.ambient
-    units = [{(j, amb._zero_exps): 1} for j in range(len(degs))]
-    blocks = row_blocks((t_in.cols if t_in else [],
-                         d_out.cols if d_out else [], units))
+    nodes = range(len(degs))
+    families = ([v for v in t_in.cols if v] if t_in else [],
+                d_out.cols if d_out else [],
+                [{(j, amb._zero_exps): 1} for j in nodes])
+    blocks = row_blocks(families)
     if blocks is None:
-        return exact(t_in, None if d_out is None else d_out.dual(), degs)
+        blocks = [(block_key(len(degs), families, nodes), nodes)]
 
     def component(_n, idx, rows, cols, _units):
         f = [degs[j] for j in idx]
@@ -320,8 +317,13 @@ def _ext_vanishes(res: Resolution, N: FPModule, i: int) -> bool:
             sub_out = RingMatrix(R, cols, f,
                                  [column_degree(amb, v, f) for v in cols],
                                  normal=True).dual()
-        return exact(sub_in, sub_out, f)
-    return all(ok for ok, _ in solve_blocks(blocks, component))
+        h_in, h_out = _ext_boundaries(N, sub_in, sub_out, f)
+        if h_in is None:
+            return is_injective(h_out)
+        return homology_is_zero(h_in, h_out)
+    if N._exact is None:
+        N._exact = {}
+    return all(ok for ok, _ in solve_blocks(blocks, component, N._exact))
 
 
 def ext_is_zero(M: FPModule, N: FPModule, i: int) -> bool:
@@ -337,8 +339,7 @@ def depth(M: FPModule) -> int:
     if M.is_zero_module():
         raise ValueError("the zero module has no depth")
     R = M.ring
-    k = k_resolution(R, 0).module
-    i = first_nonvanishing_ext(k, M, 0, R.ambient.nvars)
+    i = _first_nonvanishing(k_resolution(R, 0), M, 0, R.ambient.nvars)
     if i is None:
         raise RuntimeError("Ext(k, M) vanished through the variable count")
     return i

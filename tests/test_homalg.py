@@ -1,10 +1,13 @@
 """Resolutions, Ext, depth, dimension, Hilbert series."""
 
+import gc
 import itertools
 import os
 import random
+import weakref
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import semidual
 from semidual import fpmod, homalg
@@ -18,12 +21,15 @@ from semidual.fpmod import (
     RingMatrix,
     direct_sum,
     free_module,
+    inflation_vectors,
     is_isomorphic,
     kernel_columns,
+    min_generate_columns,
     power_scalar_hom,
     quotient_by_element,
     residue_field_module,
 )
+from semidual.groebner import relative_kernel
 from semidual.homalg import (
     TruncationError,
     base_change_module,
@@ -267,11 +273,12 @@ def _components(d_in, d_out, nmid):
 
 def test_walk_decides_each_distinct_component_once(monkeypatch):
     """The Ext(omega, omega) walk over the semigroup ring runs
-    homology_is_zero once per distinct component of d_i and d_{i+1}, and
-    builds no power of omega with more copies than the largest component
-    has nodes in one free module, far fewer than the Betti numbers.
-    Powers are counted both where homalg builds them and where
-    fpmod.power_scalar_hom does."""
+    homology_is_zero once per distinct component of d_i and d_{i+1} over
+    all the indices it walks, since a verdict is kept on the target for
+    later indices, and builds no power of omega with more copies than the
+    largest component has nodes in one free module, far fewer than the
+    Betti numbers.  Powers are counted both where homalg builds them and
+    where fpmod.power_scalar_hom does."""
     decided, copies = [], []
     real_exact, real_power = homalg.homology_is_zero, \
         fpmod.power_with_twists
@@ -291,15 +298,15 @@ def test_walk_decides_each_distinct_component_once(monkeypatch):
     top = 6
     assert first_nonvanishing_ext(sg.C, sg.C, 1, top) is None
     res = free_resolution(sg.C, top + 1)
-    want, largest = 0, 0
+    keys, largest = set(), 0
     for i in range(1, top + 1):
         d_out = res.maps[i] if i < len(res.maps) else None
         comps = _components(res.maps[i - 1], d_out, res.betti(i))
-        want += len({key for key, _ in comps})
+        keys |= {key for key, _ in comps}
         largest = max(largest, *(max(sizes) for _, sizes in comps))
         if i > 3:
             assert len({key for key, _ in comps}) < len(comps)
-    assert len(decided) == want
+    assert len(decided) == len(keys) == 5
     assert max(copies) <= largest < res.betti(top)
 
 
@@ -566,3 +573,164 @@ def test_power_scalar_hom_matches_reference_placements():
                         _ref_hom_into(N, rel))
                     maps += 1
     assert maps == 145
+
+
+def _whole_syzygies(mat):
+    """The reference for fpmod.syzygies: one relative kernel and one greedy
+    minimal generation over the whole matrix, each split only by the row
+    blocks its own problem has, and no memo."""
+    R = mat.ring
+    raw = [u for u in relative_kernel(R.ambient, mat.cols,
+                                      inflation_vectors(R, mat.nrows),
+                                      mat.nrows) if u]
+    kept = min_generate_columns(R, raw, mat.col_degrees)
+    return RingMatrix(R, [v for _, v, _ in kept], mat.col_degrees,
+                      [d for _, _, d in kept])
+
+
+def _storage(mat):
+    return (mat.row_degrees, mat.col_degrees,
+            [list(v.items()) for v in mat.cols])
+
+
+def test_syzygies_by_component_match_the_whole_matrix(all_corpus):
+    """Every boundary of the resolution to length 8 of every corpus module,
+    and of seeded random modules, is stored exactly as the whole-matrix
+    syzygies of the one before it: degrees, column order and the order of
+    each column's dict.  The random modules come with a copy of themselves,
+    so components repeat, and with a free summand, so an unsplit d_1 has a
+    zero row; one matrix also gets a zero column, a component of its
+    own."""
+    S3 = PolyRing(PrimeField(3), ("x", "y"))
+    x, y = S3.variable(0), S3.variable(1)
+    rings = [case.ring for case in all_corpus]
+    rings.append(GradedRing(S3, [x * y], name="R"))
+    modules = list(_corpus_modules().values())
+    for r, R in enumerate(rings):
+        rng = random.Random(1400 + r)
+        for _ in range(3):
+            M = random_module(R, rng)
+            modules += [M, direct_sum([M, M]),
+                        direct_sum([M, free_module(R, (1,))])]
+    compared = 0
+    for M in modules:
+        res = free_resolution(M, 8)
+        for d, syz in zip(res.maps, res.maps[1:]):
+            assert _storage(syz) == _storage(_whole_syzygies(d))
+            compared += 1
+        if res.complete and res.maps:
+            assert fpmod.syzygies(res.maps[-1]).ncols == 0
+            assert _whole_syzygies(res.maps[-1]).ncols == 0
+    assert compared > 50
+    d = modules[-1].minimal()[0].relations
+    d = d.stack_cols(RingMatrix.zero(d.ring, d.row_degrees, (5,)))
+    assert _storage(fpmod.syzygies(d)) == _storage(_whole_syzygies(d))
+
+
+def test_resolving_a_twist_of_omega_solves_no_new_component(monkeypatch):
+    """Omega's resolution solves each distinct component of its boundaries
+    once, far fewer than there are components; a twist of omega over the
+    same ring then solves none, and its boundaries are omega's, shifted."""
+    solved = []
+    real = fpmod._component_syzygies
+
+    def spy(R, key, degrees):
+        solved.append(key)
+        return real(R, key, degrees)
+
+    monkeypatch.setattr(fpmod, "_component_syzygies", spy)
+    omega = make_semigroup().C
+    res = free_resolution(omega, 8)
+    components = sum(len(fpmod.row_blocks((d.cols,), d.nrows) or [d])
+                     for d in res.maps[:-1])
+    n = len(solved)
+    assert n == len(set(solved)) and 0 < n < components // 4
+    twisted = free_resolution(omega.twist(3), 8)
+    assert len(solved) == n
+    assert len(twisted.maps) == len(res.maps)
+    for d, e in zip(res.maps, twisted.maps):
+        assert [list(v.items()) for v in e.cols] == \
+            [list(v.items()) for v in d.cols]
+        assert e.col_degrees == tuple(g - 3 for g in d.col_degrees)
+
+
+class _Referable(FPModule):
+    """A module that takes weak references."""
+    __slots__ = ("__weakref__",)
+
+
+def test_a_module_is_freed_with_its_last_reference():
+    """No cache points back at its module: with the cycle collector off,
+    a module is freed when its last reference goes, after its minimal
+    presentation, its resolution, Ext into itself and its depth were
+    computed and cached on it and on its ring."""
+    omega = make_semigroup().C
+    gc.disable()
+    try:
+        M = _Referable(omega.ring, omega.gen_degrees, omega.relations)
+        ref = weakref.ref(M)
+        M.minimal()
+        free_resolution(M, 3)
+        assert first_nonvanishing_ext(M, M, 1, 3) is None
+        assert depth(M) == 1
+        del M
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_depth_walks_the_ring_s_one_k_resolution(monkeypatch):
+    """Without a pointer from the resolution back to k, every depth over a
+    ring still walks the one resolution of k cached on the ring."""
+    built = []
+    real = homalg.Resolution
+
+    def spy(M):
+        built.append(M)
+        return real(M)
+
+    monkeypatch.setattr(homalg, "Resolution", spy)
+    sg = make_semigroup()
+    for M in (sg.C, sg.C.twist(2), free_module(sg.ring, (0,)), sg.k):
+        depth(M)
+    assert len(built) == 1 and built[0].ngens == 1
+    assert k_resolution(sg.ring, 0).maps[0] == built[0].relations
+
+
+def _small_characteristic_rings():
+    """Rings over F_2 and F_3: planes, a hypersurface, two lines meeting
+    a plane's axis (not Cohen-Macaulay), and the semigroup ring
+    k[t^3, t^4, t^5]."""
+    out = []
+    for p in (2, 3):
+        S = PolyRing(PrimeField(p), ("x", "y"))
+        x, y = S.variable(0), S.variable(1)
+        out += [GradedRing(S, [], name="R"), GradedRing(S, [x * y], name="R")]
+        S = PolyRing(PrimeField(p), ("x", "y", "z"))
+        x, y, z = (S.variable(i) for i in range(3))
+        out.append(GradedRing(S, [x * z, y * z], name="R"))
+        S = PolyRing(PrimeField(p), ("x", "y", "z"), weights=(3, 4, 5))
+        x, y, z = (S.variable(i) for i in range(3))
+        out.append(GradedRing(
+            S, [y * y - x * z, x**3 - y * z, x * x * y - z * z], name="R"))
+    return out
+
+
+SMALL_CHARACTERISTIC_RINGS = _small_characteristic_rings()
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=120)
+@given(st.sampled_from(range(len(SMALL_CHARACTERISTIC_RINGS))),
+       st.integers(0, 2**32 - 1), st.sampled_from(("M", "M+M", "M+k")))
+def test_depth_is_koszul_depth_in_small_characteristic(r, seed, shape):
+    """depth (the Ext walk against the residue field, with its verdicts
+    kept per component on the module and the ring's one k-resolution)
+    equals depth_koszul over F_2 and F_3, on random modules, a module
+    plus a copy of itself, and a module plus k."""
+    R = SMALL_CHARACTERISTIC_RINGS[r]
+    M = random_module(R, random.Random(seed))
+    if shape == "M+M":
+        M = direct_sum([M, M])
+    elif shape == "M+k":
+        M = direct_sum([M, residue_field_module(R)])
+    assert depth(M) == depth_koszul(M)
