@@ -12,7 +12,9 @@ fingerprint,
 and the sha256 of the minimal free resolutions to length 10 of every
 module of the bundled corpus, in file, entry and declaration order: per
 module its name, the degrees of F_0 and, per boundary, its row and column
-degrees and its columns as stored, each column's dict in its own order.
+degrees and its columns as stored, each column's dict in its own order;
+and the sha256 of `semidual fmt` (with its exit code) over each bundled
+corpus file and scripts/omega_certificate.sd.
 
 Each is computed in a fresh process with the checkout's `src/` and
 `perfbench/` as its only PYTHONPATH entries, SEMIDUAL_EXT_BOUND removed and
@@ -101,6 +103,12 @@ def digests(checkout):
         sys.stderr.write(res.stderr.decode())
         fail(f"{checkout}: the resolution run failed (exit {res.returncode})")
     out["resolutions"] = res.stdout.decode().strip()
+    root = Path(checkout).resolve()
+    sources = sorted((root / "src" / "semidual" / "corpus").glob("*.sd"))
+    for path in sources + [root / "scripts" / "omega_certificate.sd"]:
+        fmt = run(checkout, ["-m", "semidual.cli", "fmt", str(path)])
+        out[f"fmt {path.name}"] = (f"{hashlib.sha256(fmt.stdout).hexdigest()}"
+                                   f" (exit {fmt.returncode})")
     return out
 
 
@@ -114,7 +122,7 @@ def main(argv=None):
         results.append(got)
         print(checkout)
         for label, digest in got.items():
-            print(f"  {label:15} {digest}")
+            print(f"  {label:24} {digest}")
     differ = [label for label in results[0]
               if len({r[label] for r in results}) > 1]
     if differ:

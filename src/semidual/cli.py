@@ -65,6 +65,7 @@ from .session import (
     RunStmt,
     Sum,
     Var,
+    eval_expr,
     expr_to_str,
     parse_session,
     print_session,
@@ -105,30 +106,12 @@ class Environment:
             or name in self.matrices
 
 
-def _eval_poly(node, ring: GradedRing, pos):
-    amb = ring.ambient
-    if isinstance(node, Num):
-        return amb.constant(node.value)
-    if isinstance(node, Var):
-        if node.name not in amb.names:
-            raise InputError(f"undefined name {node.name!r}", pos)
-        return amb.variable(amb.names.index(node.name))
-    if isinstance(node, Pow):
-        return _eval_poly(node.base, ring, pos) ** node.exp
-    if isinstance(node, Paren):
-        return _eval_poly(node.inner, ring, pos)
-    if isinstance(node, Prod):
-        out = amb.one()
-        for f in node.factors:
-            out = out * _eval_poly(f, ring, pos)
-        return out
-    if isinstance(node, Sum):
-        out = amb.zero()
-        for sign, t in node.terms:
-            v = _eval_poly(t, ring, pos)
-            out = out - v if sign == "-" else out + v
-        return out
-    raise InputError(f"cannot evaluate {node!r} as a polynomial", pos)
+def _eval_poly(node, amb: PolyRing, pos):
+    """eval_expr, with an unknown name reported at the statement."""
+    try:
+        return eval_expr(node, amb)
+    except ValueError as e:
+        raise InputError(str(e), pos)
 
 
 def _declare(stmt, env: Environment):
@@ -143,9 +126,8 @@ def _declare(stmt, env: Environment):
             raise InputError("duplicate variable name", stmt.pos)
         weights = stmt.weights or (1,) * len(stmt.vars)
         amb = PolyRing(field, stmt.vars, weights=weights)
-        probe = GradedRing(amb, ())
         try:
-            gens = [_eval_poly(g, probe, stmt.pos) for g in stmt.ideal]
+            gens = [_eval_poly(g, amb, stmt.pos) for g in stmt.ideal]
             env.rings[stmt.name] = GradedRing(amb, gens, name=stmt.name)
         except ValueError as e:
             raise InputError(str(e), stmt.pos)
@@ -157,7 +139,7 @@ def _declare(stmt, env: Environment):
         if not stmt.rels:
             env.modules[stmt.name] = free_module(ring, stmt.gen_degrees)
             return
-        cols = [tuple(_eval_poly(e, ring, stmt.pos) for e in col)
+        cols = [tuple(_eval_poly(e, ring.ambient, stmt.pos) for e in col)
                 for col in stmt.rels]
         try:
             rel = RingMatrix.from_columns(ring, cols, stmt.gen_degrees)
@@ -166,7 +148,7 @@ def _declare(stmt, env: Environment):
             raise InputError(f"degree mismatch in relations: {e}", stmt.pos)
         return
     if isinstance(stmt, MatrixDecl):
-        cols = [tuple(_eval_poly(e, ring, stmt.pos) for e in col)
+        cols = [tuple(_eval_poly(e, ring.ambient, stmt.pos) for e in col)
                 for col in stmt.cols]
         try:
             env.matrices[stmt.name] = RingMatrix.from_columns(
@@ -257,7 +239,7 @@ def _resolve_args(raw_args, env: Environment, pos):
                 raise InputError(
                     "no declared ring or module argument fixes the ring for "
                     "a polynomial argument", pos)
-            out.append(ring.nf(_eval_poly(a, ring, pos)))
+            out.append(ring.nf(_eval_poly(a, ring.ambient, pos)))
         else:
             out.append(a)
     return out

@@ -23,8 +23,8 @@ from .groebner import (
     IncrementalSpan,
     ModuleGB,
     RelativeTracker,
-    block_key,
     buchberger,
+    component_blocks,
     key_families,
     relative_kernel,
     row_blocks,
@@ -119,12 +119,11 @@ def inflation_vectors(ring: GradedRing, rank: int):
     return out
 
 
-def min_generate_columns(ring: GradedRing, cols, row_degrees, extra=(),
+def min_generate_columns(ring: GradedRing, cols, row_degrees,
                          reduced_seed=None):
     """Greedy minimal generation: feed homogeneous column vectors in
-    increasing degree into a span seeded with the inflation columns (and
-    `extra`), keep the ones that enlarge it.  Returns [(original index,
-    column, degree)].
+    increasing degree into a span seeded with the inflation columns, keep
+    the ones that enlarge it.  Returns [(original index, column, degree)].
 
     When the caller already holds a reduced basis of the modulo-part (a
     cached relgb, say), passing it as reduced_seed skips re-saturating it.
@@ -142,12 +141,12 @@ def min_generate_columns(ring: GradedRing, cols, row_degrees, extra=(),
     staged.sort(key=lambda t: (t[0], t[1]))
     vecs = [v for _, _, v in staged]
 
-    def decide(_n, _idx, seed, extra, vecs):
-        span = IncrementalSpan(ring.ambient, extra, reduced_seed=seed)
+    def decide(_n, _idx, seed, vecs):
+        span = IncrementalSpan(ring.ambient, reduced_seed=seed)
         return [span.add(v) for v in vecs]
-    blocks = row_blocks((reduced_seed, extra, vecs))
+    blocks = row_blocks((reduced_seed, vecs))
     if blocks is None:
-        keep = decide(None, None, reduced_seed, extra, vecs)
+        keep = decide(None, None, reduced_seed, vecs)
     else:
         keep = [False] * len(vecs)
         for flags, idx in solve_blocks(blocks, decide):
@@ -158,15 +157,9 @@ def min_generate_columns(ring: GradedRing, cols, row_degrees, extra=(),
 
 def in_span(amb, seed, gens, vecs) -> bool:
     """True when every vector of vecs lies in the span of gens and of the
-    reduced basis seed, decided once per distinct row block up to the first
-    that fails: a vector lies in the span iff it lies in its block's part."""
-    def check(_n, _idx, seed, gens, vecs):
-        span = IncrementalSpan(amb, gens, reduced_seed=seed)
-        return all(span.contains(u) for u in vecs)
-    blocks = row_blocks((seed, gens, vecs))
-    if blocks is None:
-        return check(None, None, seed, gens, vecs)
-    return all(ok for ok, _ in solve_blocks(blocks, check))
+    reduced basis seed."""
+    span = IncrementalSpan(amb, gens, reduced_seed=seed)
+    return all(span.contains(u) for u in vecs)
 
 
 # ---------------------------------------------------------------------------
@@ -756,12 +749,11 @@ class ModuleHom:
         self.shift = shift
 
     @classmethod
-    def from_entries(cls, source: FPModule, target: FPModule, entries,
-                     shift: int = 0) -> "ModuleHom":
-        mat = RingMatrix.from_rows(
-            source.ring, entries, target.gen_degrees,
-            tuple(g + shift for g in source.gen_degrees))
-        return cls(source, target, mat, shift)
+    def from_entries(cls, source: FPModule, target: FPModule,
+                     entries) -> "ModuleHom":
+        mat = RingMatrix.from_rows(source.ring, entries, target.gen_degrees,
+                                   source.gen_degrees)
+        return cls(source, target, mat)
 
     def well_defined(self) -> bool:
         """Every source relation must land in the target relation span."""
@@ -799,10 +791,9 @@ def identity_hom(M: FPModule) -> ModuleHom:
     return ModuleHom(M, M, RingMatrix.identity(M.ring, M.gen_degrees))
 
 
-def zero_hom(M: FPModule, N: FPModule, shift: int = 0) -> ModuleHom:
-    mat = RingMatrix.zero(N.ring, N.gen_degrees,
-                          tuple(g + shift for g in M.gen_degrees))
-    return ModuleHom(M, N, mat, shift)
+def zero_hom(M: FPModule, N: FPModule) -> ModuleHom:
+    return ModuleHom(M, N, RingMatrix.zero(N.ring, N.gen_degrees,
+                                           M.gen_degrees))
 
 
 def scalar_hom(M: FPModule, f: Polynomial) -> ModuleHom:
@@ -840,8 +831,8 @@ def syzygies(mat: RingMatrix) -> RingMatrix:
     Solved one connected component of mat's support at a time: rows and
     columns are linked by each nonzero entry, a zero column is a component
     of its own, and an unsplit matrix is one component.  Each is keyed by
-    its renumbered entries (row_blocks over the columns, with one tracking
-    row per column), so equal keys are one block up to a twist.  A
+    its renumbered entries (component_blocks over the columns, with one
+    tracking row per column), so equal keys are one block up to a twist.  A
     distinct key is solved once per ring and kept in R._syz, with degrees
     relative to the block's first column.  The syzygies are sorted by
     degree, then by their index in the kernel of the whole matrix, which
@@ -850,15 +841,9 @@ def syzygies(mat: RingMatrix) -> RingMatrix:
     whole kernel."""
     R = mat.ring
     degs = mat.col_degrees
-    blocks = row_blocks((mat.cols,), mat.nrows)
-    if blocks is None:
-        rows = sorted({r for v in mat.cols for r, _ in v})
-        blocks = [(block_key(len(rows) + mat.ncols, [mat.cols],
-                             dict(zip(rows, range(len(rows))))),
-                   range(mat.ncols))] if mat.ncols else []
     out = []
     offset = 0
-    for key, idx in blocks:
+    for key, idx in component_blocks((mat.cols,), mat.nrows):
         shift = degs[idx[0]]
         hit = R._syz.get(key)
         if hit is None:
@@ -1297,7 +1282,7 @@ def summand_analysis(e: ModuleHom):
     }
 
 
-def is_isomorphic(M: FPModule, N: FPModule, seed: int = 0):
+def is_isomorphic(M: FPModule, N: FPModule):
     """(flag, witness).  Minimal Betti degrees must match; a degree-zero map
     with invertible scalar part is then surjective by the graded Nakayama
     argument, and injectivity is certified by an exact kernel computation.
@@ -1316,7 +1301,7 @@ def is_isomorphic(M: FPModule, N: FPModule, seed: int = 0):
     if not basis:
         return False, None
     p = M.ring.field.p
-    rng = random.Random(seed)
+    rng = random.Random(0)
     units = min(len(basis), 8)
     candidates = [[int(t == s) for t in range(len(basis))]
                   for s in range(units)]

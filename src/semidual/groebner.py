@@ -43,7 +43,7 @@ __all__ = [
     "IncrementalSpan",
     "relative_kernel",
     "row_blocks",
-    "block_key",
+    "component_blocks",
     "key_families",
     "solve_blocks",
     "vec_from_poly",
@@ -60,12 +60,12 @@ class InternalError(RuntimeError):
 # ---------------------------------------------------------------------------
 # Free-module vectors.
 
-def vec_from_poly(f: Polynomial, row: int = 0) -> dict:
-    return {(row, e): c for e, c in f.terms}
+def vec_from_poly(f: Polynomial) -> dict:
+    return {(0, e): c for e, c in f.terms}
 
 
-def vec_to_poly(v: dict, ring: PolyRing, row: int = 0) -> Polynomial:
-    return ring.from_dict({e: c for (r, e), c in v.items() if r == row})
+def vec_to_poly(v: dict, ring: PolyRing) -> Polynomial:
+    return ring.from_dict({e: c for (r, e), c in v.items() if r == 0})
 
 
 def vec_scale(v: dict, c: int, p: int) -> dict:
@@ -542,6 +542,19 @@ def row_blocks(families, rank=None):
             for b, idx in blocks.items()]
 
 
+def component_blocks(families, rank=None):
+    """row_blocks' blocks, or, when the last family lies in one block, that
+    block over every vector of the last family, keyed the same way; [] when
+    the last family is empty."""
+    blocks = row_blocks(families, rank)
+    n = len(families[-1])
+    if blocks is not None or not n:
+        return blocks or []
+    rows = sorted({r for vecs in families for v in vecs for r, _ in v})
+    return [(block_key(len(rows) + (n if rank is not None else 0), families,
+                       dict(zip(rows, range(len(rows))))), range(n))]
+
+
 # ---------------------------------------------------------------------------
 # Ideal-level interface.
 
@@ -733,15 +746,14 @@ class GradedRing:
         return next((g for g in colon.gens if not self.ideal.contains(g)),
                     None)
 
-    def quotient_by(self, x: Polynomial, name=None) -> "GradedRing":
+    def quotient_by(self, x: Polynomial) -> "GradedRing":
         """The ring R/(x) for homogeneous x, as a graded quotient of the same
         ambient ring."""
         x = self.nf(x)
         if not x.is_homogeneous():
             raise ValueError("can only divide by a homogeneous element")
         gens = list(self.ideal.gens) + [x]
-        return GradedRing(self.ambient, gens,
-                          name=name or f"{self.name}/({x})")
+        return GradedRing(self.ambient, gens, name=f"{self.name}/({x})")
 
     def __eq__(self, other):
         return self is other or (

@@ -44,7 +44,7 @@ from .fpmod import (
     syzygies,
     zero_hom,
 )
-from .groebner import block_key, ideal_dimension, row_blocks, solve_blocks
+from .groebner import component_blocks, ideal_dimension, solve_blocks
 
 __all__ = [
     "TruncationError",
@@ -174,9 +174,6 @@ class ChainComplex:
     def length(self) -> int:
         return len(self.modules) - 1
 
-    def boundary(self, i: int) -> ModuleHom:
-        return self.maps[i - 1]
-
     def homology(self, i: int) -> FPModule:
         L = self.length
         if i < 0 or i > L:
@@ -277,10 +274,10 @@ def _ext_vanishes(res: Resolution, N: FPModule, i: int) -> bool:
     The nodes are the bases of the three free modules, linked by each
     nonzero entry of d_i and d_{i+1}.  Hom(F_*, N) around i is the direct
     sum of the components' subcomplexes, and it is exact at i exactly when
-    each summand is.  row_blocks finds the components that touch F_i: the
-    rows of d_i and the columns of d_{i+1} are vectors over F_i, and one
-    unit vector per basis element of F_i puts each of them in a block, and
-    an unsplit complex is one block with a key of the same form.  A
+    each summand is.  component_blocks finds the components that touch
+    F_i: the rows of d_i and the columns of d_{i+1} are vectors over F_i,
+    and one unit vector per basis element of F_i puts each of them in a
+    block; an unsplit complex is one block with a key of the same form.  A
     block's key holds its renumbered entries only, so blocks with equal
     keys are one subcomplex up to a twist, which keeps exactness.  Each
     distinct key is decided once per target, on its own small Hom maps, up
@@ -299,9 +296,7 @@ def _ext_vanishes(res: Resolution, N: FPModule, i: int) -> bool:
     families = ([v for v in t_in.cols if v] if t_in else [],
                 d_out.cols if d_out else [],
                 [{(j, amb._zero_exps): 1} for j in nodes])
-    blocks = row_blocks(families)
-    if blocks is None:
-        blocks = [(block_key(len(degs), families, nodes), nodes)]
+    blocks = component_blocks(families)
 
     def component(_n, idx, rows, cols, _units):
         f = [degs[j] for j in idx]
@@ -418,21 +413,21 @@ def homogeneous_candidates(amb, classes, rng, tries: int):
 
 
 def regular_sequence_search(M: FPModule, degree_bound: int = 4,
-                            seed: int = 0, random_tries: int = 64,
-                            length=None):
+                            seed: int = 0, length=None):
     """Greedy M-regular sequence of homogeneous elements, stopping at the
     given length or, without one, when no candidate is regular.
 
     Each step scans homogeneous_candidates over the standard monomials of
-    degrees 1..degree_bound, with one seeded rng for the whole search, so
-    runs are reproducible.  Returns (sequence, final quotient)."""
+    degrees 1..degree_bound, plus 64 random combinations per degree, with
+    one seeded rng for the whole search, so runs are reproducible.  Returns
+    (sequence, final quotient)."""
     R = M.ring
     rng = random.Random(seed)
     seq = []
     current = M
     while len(seq) != length and not current.is_zero_module():
         classes = (R.std_monomials(d) for d in range(1, degree_bound + 1))
-        cands = homogeneous_candidates(R.ambient, classes, rng, random_tries)
+        cands = homogeneous_candidates(R.ambient, classes, rng, 64)
         found = next((f for f in cands if is_nzd_on(current, f)), None)
         if found is None:
             break

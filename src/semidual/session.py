@@ -37,7 +37,8 @@ __all__ = [
     "Value",
     "RingDecl", "ModuleDecl", "MatrixDecl", "RunStmt", "ExpectStmt",
     "CorpusEntry", "SessionSpec",
-    "tokenize", "parse_session", "print_session", "expr_to_str",
+    "tokenize", "parse_session", "parse_expression", "eval_expr",
+    "print_session", "expr_to_str",
 ]
 
 
@@ -639,6 +640,43 @@ class _Parser:
 def parse_session(text: str) -> SessionSpec:
     """Parse a session file; raises ParseError with line:col on bad input."""
     return _Parser(text).session()
+
+
+def parse_expression(text: str):
+    """Parse one polynomial expression that makes up all of text."""
+    parser = _Parser(text)
+    node = parser.expr()
+    if parser.peek().kind != "EOF":
+        parser.fail(f"expected end of input but found {parser.peek().value!r}")
+    return node
+
+
+def eval_expr(node, amb):
+    """The polynomial an expression node denotes in the ambient ring amb
+    (anything with names, constant, variable, one and zero).  A name that
+    is not a variable of amb raises ValueError."""
+    if isinstance(node, Num):
+        return amb.constant(node.value)
+    if isinstance(node, Var):
+        if node.name not in amb.names:
+            raise ValueError(f"undefined name {node.name!r}")
+        return amb.variable(amb.names.index(node.name))
+    if isinstance(node, Pow):
+        return eval_expr(node.base, amb) ** node.exp
+    if isinstance(node, Paren):
+        return eval_expr(node.inner, amb)
+    if isinstance(node, Prod):
+        out = amb.one()
+        for f in node.factors:
+            out = out * eval_expr(f, amb)
+        return out
+    if isinstance(node, Sum):
+        out = amb.zero()
+        for sign, t in node.terms:
+            v = eval_expr(t, amb)
+            out = out - v if sign == "-" else out + v
+        return out
+    raise TypeError(f"not an expression node: {node!r}")
 
 
 # ---------------------------------------------------------------------------

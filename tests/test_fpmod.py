@@ -12,7 +12,6 @@ from semidual.groebner import (
     ModuleGB,
     buchberger,
     relative_kernel,
-    row_blocks,
 )
 from semidual.fpmod import (
     FPModule,
@@ -396,11 +395,11 @@ def test_wrong_degree_entry_is_rejected(omega):
         fpmod.block_matrix(R, [({(0, (1, 0, 0)): 1}, 1, 1)], (1, 0), (4,))
 
 
-def _one_span_pass(R, cols, row_degrees, extra, reduced_seed):
+def _one_span_pass(R, cols, row_degrees, reduced_seed):
     """min_generate_columns as one span over every column."""
     if reduced_seed is None:
         reduced_seed = fpmod.inflation_vectors(R, len(row_degrees))
-    span = IncrementalSpan(R.ambient, extra, reduced_seed=reduced_seed)
+    span = IncrementalSpan(R.ambient, reduced_seed=reduced_seed)
     staged = sorted((d, j, v) for j, v in enumerate(cols) for d in
                     [fpmod.column_degree(R.ambient, v, row_degrees)]
                     if d is not None)
@@ -409,8 +408,8 @@ def _one_span_pass(R, cols, row_degrees, extra, reduced_seed):
 
 def test_min_generate_columns_by_blocks_matches_one_span(all_corpus):
     """Block-diagonal columns with two identical copies, a seed-only block,
-    a zero column, a zero extra vector and interleaved rows: deciding block
-    by block keeps what one span over everything keeps."""
+    a zero column and interleaved rows: deciding block by block keeps what
+    one span over everything keeps."""
     for corp in all_corpus:
         R = corp.ring
         for case in range(3):
@@ -420,11 +419,9 @@ def test_min_generate_columns_by_blocks_matches_one_span(all_corpus):
             blocks = templates + [templates[0], seed_only_block(R, rng)]
             rng.shuffle(blocks)
             seed, cols, rdegs, _ = block_diagonal(blocks, rng)
-            extra = [{}, cols[rng.randrange(len(cols))]]
             for reduced_seed in (seed, None):
-                got = fpmod.min_generate_columns(R, cols, rdegs, extra,
-                                                 reduced_seed)
-                want = _one_span_pass(R, cols, rdegs, extra, reduced_seed)
+                got = fpmod.min_generate_columns(R, cols, rdegs, reduced_seed)
+                want = _one_span_pass(R, cols, rdegs, reduced_seed)
                 assert got == want, (corp.name, case)
                 assert len(got) < sum(1 for v in cols if v)
 
@@ -444,23 +441,20 @@ def test_min_generate_columns_decides_identical_blocks_once(
     monkeypatch.setattr(fpmod, "IncrementalSpan", Counted)
     got = fpmod.min_generate_columns(R, cols, rdegs, reduced_seed=seed)
     assert len(built) == 1
-    assert got == _one_span_pass(R, cols, rdegs, (), seed)
+    assert got == _one_span_pass(R, cols, rdegs, seed)
 
 
 def test_min_generate_columns_skips_zero_extra_vectors(plane):
     S, R = plane
     x, y = S.variable(0), S.variable(1)
-    cols = [tuple_to_vec((x, S.zero())), tuple_to_vec((S.zero(), y)),
+    cols = [tuple_to_vec((x, S.zero())), {}, tuple_to_vec((S.zero(), y)),
             tuple_to_vec((x * y, S.zero()))]
     want = fpmod.min_generate_columns(R, cols, (0, 0))
-    assert [j for j, _, _ in want] == [0, 1]
-    for extra in ([{}], [{}, tuple_to_vec((S.zero(), x))]):
-        got = fpmod.min_generate_columns(R, cols, (0, 0), extra)
-        assert got == _one_span_pass(R, cols, (0, 0), extra, None)
-    assert fpmod.min_generate_columns(R, cols, (0, 0), [{}]) == want
+    assert [j for j, _, _ in want] == [0, 2]
+    assert want == _one_span_pass(R, cols, (0, 0), None)
 
 
-# -- membership one row block at a time ---------------------------------
+# -- membership over block-diagonal input ------------------------------
 
 def _one_span(amb, seed, gens, vecs):
     """in_span as one span over everything."""
@@ -572,33 +566,6 @@ def test_homology_is_zero_by_blocks_matches_one_span(all_corpus):
                                  fpmod.kernel_generators(outof))
                 assert homology_is_zero(into, outof) == want == \
                     (last is None), (corp.name, case)
-
-
-def test_membership_decides_identical_blocks_once(monkeypatch, omega):
-    _, R, _ = omega
-    rng = random.Random(31)
-    seed, cols, rdegs, _ = block_diagonal([random_block(R, rng)] * 3, rng)
-    into, outof = _exact_pair(R, seed, cols, rdegs)
-    kers = fpmod.kernel_generators(outof)
-    exact_blocks = row_blocks((into.target.relgb.basis, into.matrix.cols,
-                               kers))
-    seed, cols, rdegs, _ = block_diagonal([_onto_block(R, rng)] * 3, rng)
-    phi = _hom_onto(R, cols, _module_on(R, seed, rdegs))
-    phi.target.relgb
-    built = []
-
-    class Counted(IncrementalSpan):
-        def __init__(self, *args, **kw):
-            built.append(args)
-            super().__init__(*args, **kw)
-
-    monkeypatch.setattr(fpmod, "IncrementalSpan", Counted)
-    assert is_surjective(phi)
-    assert len(built) == 1
-    built.clear()
-    assert homology_is_zero(into, outof)
-    assert len(built) == len({key for key, _ in exact_blocks}) \
-        < len(exact_blocks)
 
 
 def test_membership_in_one_block_takes_the_unsplit_path(monkeypatch, plane):

@@ -2,13 +2,14 @@
 
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 import sympy
 
+from semidual import cli
 from semidual.polyring import (
     MonomialOrder,
-    PolyParseError,
     PolyRing,
     Polynomial,
     PrimeField,
@@ -18,6 +19,13 @@ from semidual.polyring import (
     mono_lcm,
     mono_mul,
     parse_polynomial,
+)
+from semidual.session import (
+    ModuleDecl,
+    ParseError,
+    RingDecl,
+    expr_to_str,
+    parse_session,
 )
 
 F = PrimeField(101)
@@ -229,7 +237,40 @@ def test_parse_polynomial_round_trip():
         f = S.from_dict(terms)
         assert parse_polynomial(str(f), S) == f
     assert parse_polynomial("0", S).is_zero
-    with pytest.raises(PolyParseError):
-        parse_polynomial("x +", S)
-    with pytest.raises(PolyParseError):
+    x, y = S.variable(0), S.variable(1)
+    assert parse_polynomial("(x + 2*y)^2 - x*(y - 1)", S) == \
+        (x + 2 * y) ** 2 - x * (y - 1)
+    for text in ("", "x +", "x y", "x^"):
+        with pytest.raises(ParseError):
+            parse_polynomial(text, S)
+    with pytest.raises(ValueError, match="undefined name 'q'") as err:
         parse_polynomial("q", S)
+    assert not isinstance(err.value, ParseError)
+
+
+def test_parse_polynomial_agrees_with_declarations(monkeypatch):
+    """Every polynomial of every bundled corpus declaration, printed and
+    read back by parse_polynomial, is the one build_environment made."""
+    corpus = Path(cli.__file__).parent / "corpus"
+    seen = []
+    evaluate = cli._eval_poly
+
+    def spy(node, amb, pos):
+        value = evaluate(node, amb, pos)
+        seen.append((node, amb, value))
+        return value
+
+    monkeypatch.setattr(cli, "_eval_poly", spy)
+    declared = []
+    for path in sorted(corpus.glob("*.sd")):
+        for entry in parse_session(path.read_text()).corpus_entries():
+            for stmt in entry.statements:
+                columns = ([stmt.ideal] if isinstance(stmt, RingDecl)
+                           else stmt.rels if isinstance(stmt, ModuleDecl)
+                           else stmt.cols)
+                declared += [node for col in columns for node in col]
+            cli.build_environment(entry.statements)
+    assert [node for node, _, _ in seen] == declared != []
+    for node, amb, value in seen:
+        assert parse_polynomial(expr_to_str(node), amb) == value, \
+            expr_to_str(node)
