@@ -126,8 +126,8 @@ def _declare(stmt, env: Environment):
             raise InputError("duplicate variable name", stmt.pos)
         weights = stmt.weights or (1,) * len(stmt.vars)
         amb = PolyRing(field, stmt.vars, weights=weights)
+        gens = [_eval_poly(g, amb, stmt.pos) for g in stmt.ideal]
         try:
-            gens = [_eval_poly(g, amb, stmt.pos) for g in stmt.ideal]
             env.rings[stmt.name] = GradedRing(amb, gens, name=stmt.name)
         except ValueError as e:
             raise InputError(str(e), stmt.pos)

@@ -24,11 +24,8 @@ from .groebner import (
     ModuleGB,
     RelativeTracker,
     buchberger,
-    component_blocks,
-    key_families,
+    key_columns,
     relative_kernel,
-    row_blocks,
-    solve_blocks,
 )
 from .linalg import is_invertible, nullspace, row_reduce
 
@@ -127,9 +124,6 @@ def min_generate_columns(ring: GradedRing, cols, row_degrees,
 
     When the caller already holds a reduced basis of the modulo-part (a
     cached relgb, say), passing it as reduced_seed skips re-saturating it.
-
-    Each row block (see row_blocks) is decided on its own, once per
-    distinct block; the decisions are those of one span over everything.
     """
     if reduced_seed is None:
         reduced_seed = inflation_vectors(ring, len(row_degrees))
@@ -139,20 +133,8 @@ def min_generate_columns(ring: GradedRing, cols, row_degrees,
         if d is not None:
             staged.append((d, j, v))
     staged.sort(key=lambda t: (t[0], t[1]))
-    vecs = [v for _, _, v in staged]
-
-    def decide(_n, _idx, seed, vecs):
-        span = IncrementalSpan(ring.ambient, reduced_seed=seed)
-        return [span.add(v) for v in vecs]
-    blocks = row_blocks((reduced_seed, vecs))
-    if blocks is None:
-        keep = decide(None, None, reduced_seed, vecs)
-    else:
-        keep = [False] * len(vecs)
-        for flags, idx in solve_blocks(blocks, decide):
-            for s, flag in zip(idx, flags):
-                keep[s] = flag
-    return [(j, v, d) for (d, j, v), k in zip(staged, keep) if k]
+    span = IncrementalSpan(ring.ambient, reduced_seed=reduced_seed)
+    return [(j, v, d) for d, j, v in staged if span.add(v)]
 
 
 def in_span(amb, seed, gens, vecs) -> bool:
@@ -823,57 +805,46 @@ def kernel_generators(phi: ModuleHom):
                                        N.ngens) if u]
 
 
-def syzygies(mat: RingMatrix) -> RingMatrix:
+def syzygies(mat: RingMatrix, blocks) -> RingMatrix:
     """Minimal generators of the kernel of the free-module map given by mat,
     as a matrix whose columns are the syzygies; zero columns when the map is
     injective.
 
-    Solved one connected component of mat's support at a time: rows and
-    columns are linked by each nonzero entry, a zero column is a component
-    of its own, and an unsplit matrix is one component.  Each is keyed by
-    its renumbered entries (component_blocks over the columns, with one
-    tracking row per column), so equal keys are one block up to a twist.  A
-    distinct key is solved once per ring and kept in R._syz, with degrees
-    relative to the block's first column.  The syzygies are sorted by
-    degree, then by their index in the kernel of the whole matrix, which
-    lists the blocks in order of first column.  That is the order, and by
-    the row_blocks argument the choice, of min_generate_columns over the
-    whole kernel."""
+    Solved one connected component of mat's support at a time: blocks is
+    component_blocks(mat.cols).  A distinct key is solved once per ring and
+    kept in R._syz, as its syzygies ((degree, column), ...) over the
+    component's columns, with degrees relative to its first column.  The
+    syzygies are sorted by degree, then by component.  That is the order of
+    min_generate_columns over the kernel of the whole matrix, stably sorted
+    by the same, and by the component argument its choice as well."""
     R = mat.ring
     degs = mat.col_degrees
     out = []
-    offset = 0
-    for key, idx in component_blocks((mat.cols,), mat.nrows):
+    for b, (key, idx) in enumerate(blocks):
         shift = degs[idx[0]]
-        hit = R._syz.get(key)
-        if hit is None:
-            hit = R._syz[key] = _component_syzygies(
+        kept = R._syz.get(key)
+        if kept is None:
+            kept = R._syz[key] = _component_syzygies(
                 R, key, [degs[j] - shift for j in idx])
-        nraw, kept = hit
-        out += [(d + shift, offset + t,
-                 {(idx[r], e): c for (r, e), c in v.items()})
-                for d, t, v in kept]
-        offset += nraw
+        out += [(d + shift, b, {(idx[r], e): c for (r, e), c in v.items()})
+                for d, v in kept]
     out.sort(key=lambda c: c[:2])
     return RingMatrix(R, [v for _, _, v in out], degs,
                       [d for d, _, _ in out], normal=True)
 
 
 def _component_syzygies(R: GradedRing, key, degrees):
-    """(raw count, ((degree, raw index, column), ...)) for the block of
-    syzygies with this key: the nonzero kernel vectors of its columns, then
-    the minimal generators among them, each in the storage of RingMatrix,
-    with the block's columns of the given degrees."""
-    (cols,) = key_families(key)
-    nrows = key[0] - len(cols)
-    raw = [u for u in RelativeTracker(R.ambient, cols,
-                                      inflation_vectors(R, nrows),
-                                      nrows).kernel_vectors() if u]
+    """((degree, column), ...) for the component with this key, whose
+    columns have the given degrees: the minimal generators among the
+    nonzero kernel vectors of its columns, in the storage of RingMatrix."""
+    cols = key_columns(key)
+    raw = [u for u in relative_kernel(R.ambient, cols,
+                                      inflation_vectors(R, key[0]), key[0])
+           if u]
     kept = min_generate_columns(R, raw, degrees)
     mat = RingMatrix(R, [v for _, v, _ in kept], degrees,
                      [d for _, _, d in kept])
-    return len(raw), tuple((d, t, v)
-                           for (t, _, d), v in zip(kept, mat.cols))
+    return tuple(zip(mat.col_degrees, mat.cols))
 
 
 def minimal_generators(M: FPModule):

@@ -42,10 +42,8 @@ __all__ = [
     "RelativeTracker",
     "IncrementalSpan",
     "relative_kernel",
-    "row_blocks",
     "component_blocks",
-    "key_families",
-    "solve_blocks",
+    "key_columns",
     "vec_from_poly",
     "vec_scale",
     "vec_lead",
@@ -408,78 +406,25 @@ class RelativeTracker:
 
 def relative_kernel(ring: PolyRing, columns, seed, rank: int):
     """Coefficient vectors a over the columns with sum a_j * column_j in the
-    span of the seed (an already-reduced basis).
-
-    Solved one row block at a time (see row_blocks), once per distinct
-    block, so the output is grouped by block."""
-    if not columns:
-        return []
-    blocks = row_blocks((seed, columns), rank)
-    if blocks is None:
-        return RelativeTracker(ring, columns, seed, rank).kernel_vectors()
-
-    def solve(nrows, _, bseed, bcols):
-        return RelativeTracker(ring, bcols, bseed,
-                               nrows - len(bcols)).kernel_vectors()
-    return [{(js[t], e): c for (t, e), c in u.items()}
-            for kern, js in solve_blocks(blocks, solve) for u in kern]
+    span of the seed (an already-reduced basis)."""
+    return RelativeTracker(ring, columns, seed, rank).kernel_vectors()
 
 
-def solve_blocks(blocks, solve, solved=None):
-    """(solve(nrows, indices, *families), indices) for each (key, indices)
-    of row_blocks, in order, with the families of key_families.  solve
-    runs once per distinct key, on the first block with that key, and
-    copies reuse its result.  The results are kept in `solved`, by key: a
-    caller's dict outlives the call, the default one lives for it.  Lazy,
-    so a caller may stop at the first block it needs."""
-    if solved is None:
-        solved = {}
-    for key, idx in blocks:
-        if key not in solved:
-            solved[key] = solve(key[0], idx, *key_families(key))
-        yield solved[key], idx
+def component_blocks(vecs):
+    """One (key, indices) per connected component of the columns vecs, in
+    order of first column: two columns are linked when they share a row,
+    and indices are the component's columns.  A zero column touches no row,
+    so it is a component of its own.
 
+    key is (nrows, term counts, rows, exponents, coefficients): the
+    component's columns in order, as flat tuples that builtins fill, with
+    its nrows rows renumbered 0..nrows-1 in increasing order so that
+    position-over-term order is kept.  Components with equal keys are
+    copies of one another, and key_columns gives their columns back.
 
-def key_families(key):
-    """The families of a block key (see row_blocks), as lists of fresh
-    dicts."""
-    return [[dict(itertools.islice(items, n)) for n in lens]
-            for lens, rows, exps, coeffs in key[1:]
-            for items in [zip(zip(rows, exps), coeffs)]]
-
-
-def block_key(nrows, families, new):
-    """The key row_blocks gives a block of nrows rows holding the vectors
-    of families, with row r relabelled new[r]."""
-    key = [nrows]
-    for vecs in families:
-        terms = list(itertools.chain.from_iterable(vecs))
-        key.append((tuple(map(len, vecs)),
-                    tuple(map(new.__getitem__, map(itemgetter(0), terms))),
-                    tuple(map(itemgetter(1), terms)),
-                    tuple(itertools.chain.from_iterable(
-                        map(dict.values, vecs)))))
-    return tuple(key)
-
-
-def row_blocks(families, rank=None):
-    """Split families of free-module vectors into row-connected blocks: two
-    rows are linked when one vector touches both.  With `rank` given,
-    vector j of the last family also owns the tracking row rank + j.
-
-    Returns None when the last family lies in one block.  Otherwise one
-    (key, indices) per block holding a vector of the last family, in order
-    of its first such vector; indices are the input indices of those
-    vectors.  key is (nrows, family_0, ..., family_last): each family holds
-    its vectors in the block, in input order, as flat (term counts, rows,
-    exponents, coefficients) tuples that builtins fill, with the block's
-    rows relabelled 0..nrows-1 in increasing order so that position-over-
-    term order is kept.  Blocks with equal keys are copies of one another.
-
-    Pairs never cross rows and a reducer only touches rows of its own block,
-    so an engine run over one block takes the same steps in the same
-    relative order as the whole run does in that block.  Zero vectors own no
-    row and belong to no block."""
+    Pairs never cross rows and a reducer only touches rows of its own
+    component, so an engine run over one component takes the same steps in
+    the same relative order as a run over all the columns does in it."""
     parent = {}
 
     def find(r):
@@ -490,69 +435,42 @@ def row_blocks(families, rank=None):
             parent[r], r = root, parent[r]
         return root
 
-    def link(root, r):
-        """Put row r in the tree of row root (None: a tree of its own)."""
-        q = find(r) if r in parent else parent.setdefault(r, r)
-        if root is None:
-            return q
-        root = find(root)
-        if q != root:
-            parent[q] = root
-        return root
-
-    last = len(families) - 1
-    firsts = []
-    for f, vecs in enumerate(families):
-        fam_firsts = []
-        track = rank if f == last else None
-        for i, v in enumerate(vecs):
-            root = None
-            for r, _ in v:
-                if root is None:
-                    root = parent.setdefault(r, r)
-                elif r != root:
-                    root = link(root, r)
-            if track is not None:
-                root = link(root, track + i)
-            fam_firsts.append(root)
-        firsts.append(fam_firsts)
-    root_of = {r: find(r) for r in parent}
-
+    for v in vecs:
+        root = None
+        for r, _ in v:
+            q = find(r) if r in parent else parent.setdefault(r, r)
+            if root is None:
+                root = q
+            elif q != root:
+                parent[q] = root
     blocks = {}
-    for i, r in enumerate(firsts[last]):
-        if r is not None:
-            blocks.setdefault(root_of[r], []).append(i)
-    if len(blocks) <= 1:
-        return None
-    new = {}  # row -> its index in its block
-    size = dict.fromkeys(blocks, 0)
-    for r in sorted(root_of):
-        b = root_of[r]
-        if b in size:
-            new[r] = size[b]
-            size[b] += 1
-    members = {b: [[] for _ in families] for b in blocks}
-    for f, (vecs, fam_firsts) in enumerate(zip(families, firsts)):
-        for v, r in zip(vecs, fam_firsts):
-            if r is not None:
-                m = members.get(root_of[r])
-                if m is not None:
-                    m[f].append(v)
-    return [(block_key(size[b], members[b], new), idx)
-            for b, idx in blocks.items()]
+    for j, v in enumerate(vecs):
+        # a zero column gets a root no row has
+        root = find(next(iter(v))[0]) if v else -1 - j
+        blocks.setdefault(root, []).append(j)
+    new = {}  # row -> its index in its component
+    size = {}
+    for r in sorted(parent):
+        b = find(r)
+        new[r] = size[b] = size.get(b, 0)
+        size[b] += 1
+    out = []
+    for b, idx in blocks.items():
+        cols = [vecs[j] for j in idx]
+        terms = list(itertools.chain.from_iterable(cols))
+        out.append(((size.get(b, 0), tuple(map(len, cols)),
+                     tuple(map(new.__getitem__, map(itemgetter(0), terms))),
+                     tuple(map(itemgetter(1), terms)),
+                     tuple(itertools.chain.from_iterable(
+                         map(dict.values, cols)))), idx))
+    return out
 
 
-def component_blocks(families, rank=None):
-    """row_blocks' blocks, or, when the last family lies in one block, that
-    block over every vector of the last family, keyed the same way; [] when
-    the last family is empty."""
-    blocks = row_blocks(families, rank)
-    n = len(families[-1])
-    if blocks is not None or not n:
-        return blocks or []
-    rows = sorted({r for vecs in families for v in vecs for r, _ in v})
-    return [(block_key(len(rows) + (n if rank is not None else 0), families,
-                       dict(zip(rows, range(len(rows))))), range(n))]
+def key_columns(key):
+    """The columns of a component_blocks key, as fresh dicts."""
+    _, lens, rows, exps, coeffs = key
+    items = zip(zip(rows, exps), coeffs)
+    return [dict(itertools.islice(items, n)) for n in lens]
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,6 @@ from .fpmod import (
     TruncationError,
     annihilator,
     cokernel,
-    column_degree,
     free_module,
     homology_at,
     homology_is_zero,
@@ -44,7 +43,7 @@ from .fpmod import (
     syzygies,
     zero_hom,
 )
-from .groebner import component_blocks, ideal_dimension, solve_blocks
+from .groebner import component_blocks, ideal_dimension, key_columns
 
 __all__ = [
     "TruncationError",
@@ -80,32 +79,35 @@ class Resolution:
     """A minimal graded free resolution, extended lazily.
 
     maps[i] is the boundary F_{i+1} -> F_i; F_0 covers the minimal
-    presentation of the module.  complete means the next syzygy module
+    presentation of the module.  blocks[i] is component_blocks(maps[i].cols),
+    found once when maps[i] is appended: syzygies solves maps[i] by them and
+    the Ext walk reads them.  complete means the next syzygy module
     vanished, so the projective dimension equals len(maps).  It keeps no
     pointer to the module it resolves, which caches it."""
 
-    __slots__ = ("ring", "f0", "maps", "complete")
+    __slots__ = ("ring", "f0", "maps", "blocks", "complete")
 
     def __init__(self, module: FPModule):
         self.ring = module.ring
         Mm = module.minimal()[0]
         self.f0 = Mm.gen_degrees
-        rel = Mm.relations
-        if rel.ncols == 0:
-            self.maps = []
-            self.complete = True
+        self.maps = []
+        self.blocks = []
+        self.complete = False
+        self._append(Mm.relations)
+
+    def _append(self, d: RingMatrix):
+        """Append the boundary d, or mark the end when it has no column."""
+        if d.ncols:
+            self.maps.append(d)
+            self.blocks.append(component_blocks(d.cols))
         else:
-            self.maps = [rel]
-            self.complete = False
+            self.complete = True
 
     def ensure(self, length: int):
         """Extend until len(maps) >= length or the resolution terminates."""
         while not self.complete and len(self.maps) < length:
-            nxt = syzygies(self.maps[-1])
-            if not nxt.ncols:
-                self.complete = True
-            else:
-                self.maps.append(nxt)
+            self._append(syzygies(self.maps[-1], self.blocks[-1]))
         return self
 
     def degrees(self, i: int):
@@ -222,13 +224,6 @@ def _ext_boundaries(N: FPModule, t_in, t_out, degrees):
     return h_in, power_scalar_hom(N, t_out, source=p)
 
 
-def _boundaries_at(res: Resolution, i: int):
-    """(d_i, d_{i+1}) of a resolution extended to i + 1, None where the
-    boundary does not exist."""
-    return (res.maps[i - 1] if i else None,
-            res.maps[i] if i < len(res.maps) else None)
-
-
 def ext_module(M: FPModule, N: FPModule, i: int) -> FPModule:
     """Ext^i(M, N) as a presented module, via Hom of the minimal resolution
     of M into N, assembled in full."""
@@ -237,9 +232,9 @@ def ext_module(M: FPModule, N: FPModule, i: int) -> FPModule:
     res = free_resolution(M, i + 1)
     if res.betti(i) == 0 or N.ngens == 0:
         return FPModule(M.ring, ())
-    h_in, h_out = _ext_boundaries(
-        N, *(None if d is None else d.dual() for d in _boundaries_at(res, i)),
-        res.degrees(i))
+    t_in = res.maps[i - 1].dual() if i else None
+    t_out = res.maps[i].dual() if i < len(res.maps) else None
+    h_in, h_out = _ext_boundaries(N, t_in, t_out, res.degrees(i))
     if h_in is None:
         return kernel(h_out)[0]
     return homology_at(h_in, h_out)
@@ -274,51 +269,66 @@ def _ext_vanishes(res: Resolution, N: FPModule, i: int) -> bool:
     The nodes are the bases of the three free modules, linked by each
     nonzero entry of d_i and d_{i+1}.  Hom(F_*, N) around i is the direct
     sum of the components' subcomplexes, and it is exact at i exactly when
-    each summand is.  component_blocks finds the components that touch
-    F_i: the rows of d_i and the columns of d_{i+1} are vectors over F_i,
-    and one unit vector per basis element of F_i puts each of them in a
-    block; an unsplit complex is one block with a key of the same form.  A
-    block's key holds its renumbered entries only, so blocks with equal
-    keys are one subcomplex up to a twist, which keeps exactness.  Each
-    distinct key is decided once per target, on its own small Hom maps, up
-    to the first that fails, and kept in N._exact for every later index and
-    source; a component with no part in F_{i-1} is decided by
-    injectivity."""
+    each summand is.  The resolution keeps each boundary's components
+    (Resolution.blocks), and they are the walk's:
+    - for i >= 1, the components of d_i.  d_i has no zero column in a
+      minimal resolution, and syzygies solves each component of d_i on its
+      own, so every column of d_{i+1} lies in exactly one of them.  Its
+      columns there are the component's syzygies, R._syz[key];
+    - at i = 0, the components of d_1 read by rows, plus each generator of
+      F_0 that no relation touches.  Hom(R, N) = N -> 0 decides every such
+      generator at once.
+    A key holds its renumbered entries only, so components with equal keys
+    are one subcomplex up to a twist, which keeps exactness.  Each distinct
+    key is decided once per target, on its own small Hom maps, up to the
+    first that fails, and kept in N._exact for every later index and
+    source.  The same d_1 key asks whether Hom(d_1, N) is injective at
+    index 0 and whether it is exact at index 1, so the memo keys are
+    (0, key) and (1, key)."""
     res.ensure(i + 1)
     degs = res.degrees(i)
     if not degs or N.ngens == 0:
         return True
-    d_in, d_out = _boundaries_at(res, i)
-    t_in = None if d_in is None else d_in.dual()
-    R = N.ring
-    amb = R.ambient
-    nodes = range(len(degs))
-    families = ([v for v in t_in.cols if v] if t_in else [],
-                d_out.cols if d_out else [],
-                [{(j, amb._zero_exps): 1} for j in nodes])
-    blocks = component_blocks(families)
-
-    def component(_n, idx, rows, cols, _units):
-        f = [degs[j] for j in idx]
-        sub_in = sub_out = None
-        if rows:
-            # the rows of d_i in a block are the columns of its dual; each
-            # has an entry, whose degree fixes the column's degree
-            sub_in = RingMatrix(
-                R, rows, [-d for d in f],
-                [amb.wdeg(e) - f[j] for j, e in map(next, map(iter, rows))],
-                normal=True)
-        if cols:
-            sub_out = RingMatrix(R, cols, f,
-                                 [column_degree(amb, v, f) for v in cols],
-                                 normal=True).dual()
-        h_in, h_out = _ext_boundaries(N, sub_in, sub_out, f)
-        if h_in is None:
-            return is_injective(h_out)
-        return homology_is_zero(h_in, h_out)
     if N._exact is None:
         N._exact = {}
-    return all(ok for ok, _ in solve_blocks(blocks, component, N._exact))
+    R = N.ring
+    top = max(i, 1)  # d_i, or d_1 read by rows at i = 0
+    blocks = res.blocks[top - 1] if res.blocks else []
+    cdegs = res.degrees(top)
+    if (not i and sum(key[0] for key, _ in blocks) < len(degs)
+            and not N.is_zero_module()):
+        return False
+    for key, idx in blocks:
+        role = (min(i, 1), key)
+        ok = N._exact.get(role)
+        if ok is None:
+            f = [cdegs[j] - cdegs[idx[0]] for j in idx]
+            d = _component(R, key, f)
+            if not i:
+                ok = is_injective(power_scalar_hom(N, d.dual()))
+            else:
+                # the ring that syzygies solved d_i over
+                syz = res.maps[i - 1].ring._syz[key]
+                t_out = None
+                if syz:
+                    t_out = RingMatrix(R, [v for _, v in syz], f,
+                                       [e for e, _ in syz], normal=True).dual()
+                ok = homology_is_zero(*_ext_boundaries(N, d.dual(), t_out, f))
+            N._exact[role] = ok
+        if not ok:
+            return False
+    return True
+
+
+def _component(R: GradedRing, key, degrees) -> RingMatrix:
+    """The component of a boundary with this key, its columns of the given
+    degrees; each row has an entry, whose degree fixes the row's."""
+    cols = key_columns(key)
+    rows = [0] * key[0]
+    for v, d in zip(cols, degrees):
+        for r, e in v:
+            rows[r] = d - R.ambient.wdeg(e)
+    return RingMatrix(R, cols, rows, degrees, normal=True)
 
 
 def ext_is_zero(M: FPModule, N: FPModule, i: int) -> bool:

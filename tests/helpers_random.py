@@ -171,3 +171,40 @@ def block_diagonal(blocks, rng):
     zero_col = rng.randrange(len(cols) + 1)
     cols.insert(zero_col, {})
     return seed, cols, row_degrees, zero_col
+
+
+def components(cols, seed=()):
+    """The component of each column and then of each seed vector, numbered
+    in order of first column: two vectors are linked when they share a row.
+    A zero column is a component of its own; a seed vector that no column
+    reaches gets None."""
+    vecs = list(cols) + list(seed)
+    by_row = {}
+    for j, v in enumerate(vecs):
+        for r, _ in v:
+            by_row.setdefault(r, []).append(j)
+    comp = [None] * len(vecs)
+    n = 0
+    for j in range(len(cols)):
+        if comp[j] is None:
+            todo = [j]
+            while todo:
+                c = todo.pop()
+                if comp[c] is None:
+                    comp[c] = n
+                    todo += [k for r, _ in vecs[c] for k in by_row[r]]
+            n += 1
+    return comp
+
+
+def by_components(cols, seed, solve):
+    """solve(cols of one component, its seed vectors, its column indices)
+    for each component of the columns, in order."""
+    comp = components(cols, seed)
+    ncols = len(cols)
+    out = []
+    for c in range(max(comp[:ncols], default=-1) + 1):
+        idx = [j for j in range(ncols) if comp[j] == c]
+        bseed = [v for v, k in zip(seed, comp[ncols:]) if k == c]
+        out.append(solve([cols[j] for j in idx], bseed, idx))
+    return out

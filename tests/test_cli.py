@@ -76,6 +76,14 @@ def test_run_undefined_name(tmp_path, capsys):
     assert "undefined ring 'S'" in capsys.readouterr().err
 
 
+def test_ring_ideal_undefined_name_prints_its_position_once(tmp_path,
+                                                            capsys):
+    path = _write(tmp_path, "ring R { char 101; vars x; ideal { q; } }\n")
+    assert main(["run", path]) == EXIT_INPUT
+    assert capsys.readouterr().err == (
+        f"semidual: input error: {path}: 1:1: undefined name 'q'\n")
+
+
 def test_run_semantic_degree_mismatch(tmp_path, capsys):
     path = _write(tmp_path,
                   "ring R { char 101; vars x y; }\n"

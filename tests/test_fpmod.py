@@ -46,6 +46,7 @@ from semidual.linalg import is_invertible
 
 from helpers_random import (
     block_diagonal,
+    by_components,
     random_block,
     random_homogeneous,
     random_module,
@@ -408,8 +409,9 @@ def _one_span_pass(R, cols, row_degrees, reduced_seed):
 
 def test_min_generate_columns_by_blocks_matches_one_span(all_corpus):
     """Block-diagonal columns with two identical copies, a seed-only block,
-    a zero column and interleaved rows: deciding block by block keeps what
-    one span over everything keeps."""
+    a zero column and interleaved rows: one span over everything keeps
+    what deciding each row block on its own keeps, which is what lets
+    syzygies choose one component at a time."""
     for corp in all_corpus:
         R = corp.ring
         for case in range(3):
@@ -419,29 +421,16 @@ def test_min_generate_columns_by_blocks_matches_one_span(all_corpus):
             blocks = templates + [templates[0], seed_only_block(R, rng)]
             rng.shuffle(blocks)
             seed, cols, rdegs, _ = block_diagonal(blocks, rng)
-            for reduced_seed in (seed, None):
-                got = fpmod.min_generate_columns(R, cols, rdegs, reduced_seed)
-                want = _one_span_pass(R, cols, rdegs, reduced_seed)
+            for whole_seed in (seed, None):
+                def solve(bcols, bseed, idx):
+                    kept = fpmod.min_generate_columns(
+                        R, bcols, rdegs, bseed if whole_seed else None)
+                    return [(idx[t], v, d) for t, v, d in kept]
+                want = sorted((t for kept in by_components(cols, seed, solve)
+                               for t in kept), key=lambda t: (t[2], t[0]))
+                got = fpmod.min_generate_columns(R, cols, rdegs, whole_seed)
                 assert got == want, (corp.name, case)
                 assert len(got) < sum(1 for v in cols if v)
-
-
-def test_min_generate_columns_decides_identical_blocks_once(
-        monkeypatch, omega):
-    _, R, _ = omega
-    block = random_block(R, random.Random(21))
-    seed, cols, rdegs, _ = block_diagonal([block] * 3, random.Random(22))
-    built = []
-
-    class Counted(IncrementalSpan):
-        def __init__(self, *args, **kw):
-            built.append(args)
-            super().__init__(*args, **kw)
-
-    monkeypatch.setattr(fpmod, "IncrementalSpan", Counted)
-    got = fpmod.min_generate_columns(R, cols, rdegs, reduced_seed=seed)
-    assert len(built) == 1
-    assert got == _one_span_pass(R, cols, rdegs, seed)
 
 
 def test_min_generate_columns_skips_zero_extra_vectors(plane):
@@ -581,11 +570,7 @@ def test_membership_in_one_block_takes_the_unsplit_path(monkeypatch, plane):
             built.append(args)
             super().__init__(*args, **kw)
 
-    def no_split(*args):
-        pytest.fail("one block took the split path")
-
     monkeypatch.setattr(fpmod, "IncrementalSpan", Counted)
-    monkeypatch.setattr(fpmod, "solve_blocks", no_split)
     assert homology_is_zero(d2, d1)
     assert not is_surjective(d1)
     assert [args[1] for args in built] == [d2.matrix.cols, d1.matrix.cols]

@@ -21,7 +21,12 @@ from semidual.groebner import (
     vec_lead,
 )
 
-from helpers_random import block_diagonal, random_block, seed_only_block
+from helpers_random import (
+    block_diagonal,
+    by_components,
+    random_block,
+    seed_only_block,
+)
 
 F = PrimeField(101)
 
@@ -271,8 +276,9 @@ def _as_multiset(vectors):
 @pytest.mark.parametrize("case", range(3))
 def test_relative_kernel_by_blocks_matches_one_tracker(ring_name, case):
     """Block-diagonal input with two identical copies, a seed-only block,
-    a zero column and interleaved rows: solving block by block gives the
-    kernel vectors of one tracked run over everything."""
+    a zero column and interleaved rows: one tracked run over everything
+    gives the kernel vectors of the row blocks solved one at a time, which
+    is what lets syzygies solve one component at a time."""
     rng = random.Random(f"{ring_name}-{case}")
     R = _block_ring(ring_name)
     templates = [random_block(R, rng) for _ in range(rng.randint(1, 3))]
@@ -280,33 +286,14 @@ def test_relative_kernel_by_blocks_matches_one_tracker(ring_name, case):
     rng.shuffle(blocks)
     seed, cols, rdegs, zero_col = block_diagonal(blocks, rng)
     amb = R.ambient
+
+    def solve(bcols, bseed, idx):
+        return [{(idx[t], e): c for (t, e), c in u.items()}
+                for u in relative_kernel(amb, bcols, bseed, len(rdegs))]
+    want = [u for kern in by_components(cols, seed, solve) for u in kern]
     got = relative_kernel(amb, cols, seed, len(rdegs))
-    want = RelativeTracker(amb, cols, seed, len(rdegs)).kernel_vectors()
     assert _as_multiset(got) == _as_multiset(want)
     assert {(zero_col, amb._zero_exps): 1} in got
-
-
-def test_relative_kernel_solves_identical_blocks_once(monkeypatch):
-    R = _block_ring("hypersurface")
-    block = random_block(R, random.Random(11))
-    k = 4
-    seed, cols, rdegs, zero_col = block_diagonal([block] * k,
-                                                 random.Random(12))
-    del cols[zero_col]
-    built = []
-
-    class Counted(RelativeTracker):
-        def __init__(self, *args):
-            built.append(args)
-            super().__init__(*args)
-
-    monkeypatch.setattr("semidual.groebner.RelativeTracker", Counted)
-    got = relative_kernel(R.ambient, cols, seed, len(rdegs))
-    assert len(built) == 1
-    want = RelativeTracker(R.ambient, cols, seed, len(rdegs)).kernel_vectors()
-    assert _as_multiset(got) == _as_multiset(want)
-    assert len(got) == k * len(relative_kernel(R.ambient, block[1], block[0],
-                                               len(block[2])))
 
 
 def test_relative_kernel_of_zero_columns_keeps_their_unit_vectors():

@@ -1,6 +1,7 @@
 """Resolutions, Ext, depth, dimension, Hilbert series."""
 
 import gc
+import hashlib
 import itertools
 import os
 import random
@@ -12,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 import semidual
 from semidual import fpmod, homalg
 from semidual.cli import build_environment
-from semidual.polyring import PolyRing, PrimeField
+from semidual.polyring import PolyRing, PrimeField, intpoly_add
 from semidual.groebner import GradedRing
 from semidual.fpmod import (
     FPModule,
@@ -21,15 +22,17 @@ from semidual.fpmod import (
     RingMatrix,
     direct_sum,
     free_module,
+    image,
     inflation_vectors,
     is_isomorphic,
+    kernel,
     kernel_columns,
     min_generate_columns,
     power_scalar_hom,
     quotient_by_element,
     residue_field_module,
 )
-from semidual.groebner import relative_kernel
+from semidual.groebner import RelativeTracker, component_blocks
 from semidual.homalg import (
     TruncationError,
     base_change_module,
@@ -51,8 +54,13 @@ from semidual.homalg import (
 from semidual.semidual import check_semidualizing
 from semidual.session import parse_session
 
-from conftest import make_hypersurface, make_poly_xy, make_semigroup
-from helpers_random import random_module
+from conftest import (
+    make_hypersurface,
+    make_poly_x,
+    make_poly_xy,
+    make_semigroup,
+)
+from helpers_random import components, random_module
 
 F = PrimeField(101)
 
@@ -416,6 +424,30 @@ def _corpus_modules():
     return out
 
 
+def test_corpus_resolutions_keep_their_pinned_digest():
+    """The minimal free resolutions to length 10 of every module of the
+    bundled corpus, hashed as scripts/output_digests.py hashes them: in
+    file, entry and declaration order, per module its name and the degrees
+    of F_0, and per boundary its row and column degrees and its columns as
+    stored, each column's dict in its own order."""
+    corpus = os.path.join(os.path.dirname(semidual.__file__), "corpus")
+    h = hashlib.sha256()
+    for fname in sorted(os.listdir(corpus)):
+        with open(os.path.join(corpus, fname)) as f:
+            spec = parse_session(f.read())
+        for entry in spec.corpus_entries():
+            env = build_environment(entry.statements)
+            for name, M in env.modules.items():
+                res = free_resolution(M, 10)
+                h.update(repr((entry.name, name, res.f0)).encode())
+                for d in res.maps:
+                    h.update(repr((d.row_degrees, d.col_degrees,
+                                   [list(v.items()) for v in d.cols]))
+                             .encode())
+    assert h.hexdigest() == (
+        "0bc47e6f3ea8409e8ccd7777da3d2f37b4f5d3ceb0fb06f89a53935c16d80d26")
+
+
 def test_depth_witness_on_corpus_modules():
     mods = _corpus_modules()
     assert set(mods) == set(CORPUS_WITNESSES)
@@ -574,15 +606,82 @@ def test_power_scalar_hom_matches_reference_placements():
     assert maps == 145
 
 
+def test_walk_from_index_zero_matches_assembled_ext(all_corpus):
+    """From index 0 the walk reads d_1's components by rows, plus the
+    generators of F_0 that no relation touches.  Over the corpus rings its
+    first nonvanishing index through 2 agrees with the assembled Ext
+    modules, built on fresh copies, for M + R(-1), which gives d_1 a zero
+    row, k + R(-2), a free module of rank 2 and a random M, each into C,
+    a random module and k."""
+    def fresh(M):
+        return FPModule(M.ring, M.gen_degrees, M.relations)
+
+    checked = 0
+    for r, case in enumerate(all_corpus):
+        R = case.ring
+        rng = random.Random(1600 + r)
+        k = residue_field_module(R)
+        M = random_module(R, rng)
+        targets = [fresh(case.C), random_module(R, rng), fresh(k)]
+        for A in (direct_sum([M, free_module(R, (1,))]),
+                  direct_sum([k, free_module(R, (2,))]),
+                  free_module(R, (0, 0)), M):
+            for B in targets:
+                want = [ext_module(fresh(A), fresh(B), i).is_zero_module()
+                        for i in range(3)]
+                first = next((i for i, z in enumerate(want) if not z), None)
+                assert first_nonvanishing_ext(A, B, 0, 2) == first
+                checked += 1
+    assert checked == 48
+
+
+def _hilbert_rings():
+    """The corpus rings and F3[x,y]/(xy)."""
+    S3 = PolyRing(PrimeField(3), ("x", "y"))
+    x, y = S3.variable(0), S3.variable(1)
+    return [make().ring for make in (make_poly_x, make_poly_xy,
+                                     make_hypersurface, make_semigroup)] + \
+        [GradedRing(S3, [x * y], name="R")]
+
+
+HILBERT_RINGS = _hilbert_rings()
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=20)
+@given(st.sampled_from(range(len(HILBERT_RINGS))),
+       st.integers(0, 2**32 - 1))
+def test_hilbert_series_is_additive_along_a_presentation(r, seed):
+    """For F1 -> F0 -> M -> 0 with phi the presentation of M, image and
+    kernel of phi split the Hilbert series: H(F0) = H(Im) + H(M) and
+    H(F1) = H(K) + H(Im)."""
+    R = HILBERT_RINGS[r]
+    M = random_module(R, random.Random(seed))
+    F0 = free_module(R, M.gen_degrees)
+    F1 = free_module(R, M.relations.col_degrees)
+    phi = ModuleHom(F1, F0, M.relations)
+    Im, K = image(phi)[0], kernel(phi)[0]
+    H = hilbert_numerator_module
+    assert H(F0) == intpoly_add(H(Im), H(M))
+    assert H(F1) == intpoly_add(H(K), H(Im))
+
+
 def _whole_syzygies(mat):
-    """The reference for fpmod.syzygies: one relative kernel and one greedy
-    minimal generation over the whole matrix, each split only by the row
-    blocks its own problem has, and no memo."""
+    """The reference for fpmod.syzygies: one tracked run and one greedy
+    minimal generation over the whole matrix, and no memo, with the kept
+    columns stably sorted by degree and then by the component of mat that
+    holds their support."""
     R = mat.ring
-    raw = [u for u in relative_kernel(R.ambient, mat.cols,
+    raw = [u for u in RelativeTracker(R.ambient, mat.cols,
                                       inflation_vectors(R, mat.nrows),
-                                      mat.nrows) if u]
+                                      mat.nrows).kernel_vectors() if u]
     kept = min_generate_columns(R, raw, mat.col_degrees)
+    comp = components(mat.cols)
+
+    def place(kept_column):
+        _, v, d = kept_column
+        (own,) = {comp[j] for j, _ in v}
+        return d, own
+    kept.sort(key=place)
     return RingMatrix(R, [v for _, v, _ in kept], mat.col_degrees,
                       [d for _, _, d in kept])
 
@@ -618,12 +717,13 @@ def test_syzygies_by_component_match_the_whole_matrix(all_corpus):
             assert _storage(syz) == _storage(_whole_syzygies(d))
             compared += 1
         if res.complete and res.maps:
-            assert fpmod.syzygies(res.maps[-1]).ncols == 0
+            assert fpmod.syzygies(res.maps[-1], res.blocks[-1]).ncols == 0
             assert _whole_syzygies(res.maps[-1]).ncols == 0
     assert compared > 50
     d = modules[-1].minimal()[0].relations
     d = d.stack_cols(RingMatrix.zero(d.ring, d.row_degrees, (5,)))
-    assert _storage(fpmod.syzygies(d)) == _storage(_whole_syzygies(d))
+    assert _storage(fpmod.syzygies(d, component_blocks(d.cols))) == \
+        _storage(_whole_syzygies(d))
 
 
 def test_resolving_a_twist_of_omega_solves_no_new_component(monkeypatch):
@@ -640,8 +740,7 @@ def test_resolving_a_twist_of_omega_solves_no_new_component(monkeypatch):
     monkeypatch.setattr(fpmod, "_component_syzygies", spy)
     omega = make_semigroup().C
     res = free_resolution(omega, 8)
-    components = sum(len(fpmod.row_blocks((d.cols,), d.nrows) or [d])
-                     for d in res.maps[:-1])
+    components = sum(len(component_blocks(d.cols)) for d in res.maps[:-1])
     n = len(solved)
     assert n == len(set(solved)) and 0 < n < components // 4
     twisted = free_resolution(omega.twist(3), 8)
