@@ -14,7 +14,9 @@ module of the bundled corpus, in file, entry and declaration order: per
 module its name, the degrees of F_0 and, per boundary, its row and column
 degrees and its columns as stored, each column's dict in its own order;
 and the sha256 of `semidual fmt` (with its exit code) over each bundled
-corpus file and scripts/omega_certificate.sd.
+corpus file and scripts/omega_certificate.sd; and the sha256 of `semidual
+run` (with its exit code) over split_examples.sd, read from this script's
+own directory, so that every checkout runs the same splits.
 
 Each is computed in a fresh process with the checkout's `src/` and
 `perfbench/` as its only PYTHONPATH entries, SEMIDUAL_EXT_BOUND removed and
@@ -32,6 +34,8 @@ import sys
 from pathlib import Path
 
 SEEDS = (1, 2, 3)
+
+SPLITS = Path(__file__).resolve().parent / "split_examples.sd"
 
 FINGERPRINTS = """\
 import hashlib, json, sys
@@ -109,6 +113,9 @@ def digests(checkout):
         fmt = run(checkout, ["-m", "semidual.cli", "fmt", str(path)])
         out[f"fmt {path.name}"] = (f"{hashlib.sha256(fmt.stdout).hexdigest()}"
                                    f" (exit {fmt.returncode})")
+    split = run(checkout, ["-m", "semidual.cli", "run", str(SPLITS)])
+    out["split"] = (f"{hashlib.sha256(split.stdout).hexdigest()}"
+                    f" (exit {split.returncode})")
     return out
 
 

@@ -27,7 +27,7 @@ from .groebner import (
     key_columns,
     relative_kernel,
 )
-from .linalg import is_invertible, nullspace, row_reduce
+from .linalg import is_invertible, nullspace
 
 __all__ = [
     "TruncationError",
@@ -49,8 +49,6 @@ __all__ = [
     "syzygies",
     "minimal_generators",
     "unit_pivots",
-    "invert_unit_matrix",
-    "summand_analysis",
     "cokernel",
     "image",
     "homology_at",
@@ -370,17 +368,6 @@ class RingMatrix:
                           self.col_degrees + other.col_degrees)
 
     # -- queries --------------------------------------------------------
-
-    def constant_part(self):
-        """Scalar matrix of degree-zero parts; nonzero exactly where the row
-        and column degrees coincide, since entries are homogeneous."""
-        zero = self.ring.ambient._zero_exps
-        out = [[0] * self.ncols for _ in self.row_degrees]
-        for j, v in enumerate(self.cols):
-            for (i, e), c in v.items():
-                if e == zero:
-                    out[i][j] = c
-        return out
 
     @property
     def is_zero_matrix(self) -> bool:
@@ -1154,103 +1141,6 @@ def degree_zero_hom_space(M: FPModule, N: FPModule):
                 entries[a][j][e] = coeff
         out.append([[amb.from_dict(d) for d in row] for row in entries])
     return out
-
-
-def invert_unit_matrix(mat: RingMatrix) -> RingMatrix:
-    """Exact inverse of a square graded matrix whose scalar part is
-    invertible over the field.
-
-    unit_pivots finds a unit pivot in every row exactly when the scalar
-    part is invertible; then L.mat has the unit vector e_j as row i for
-    each pivot (i, j), so row j of the inverse is row i of L.  Raises
-    ValueError when the scalar part is singular."""
-    R = mat.ring
-    n = mat.nrows
-    if mat.ncols != n:
-        raise ValueError("only square matrices can be inverted")
-    pivots, _, L = unit_pivots(R, mat.entries)
-    if len(pivots) < n:
-        raise ValueError("scalar part of the matrix is not invertible")
-    rows = [None] * n
-    for i, j in pivots:
-        rows[j] = L[i]
-    out = RingMatrix.from_rows(R, rows, mat.col_degrees, mat.row_degrees)
-    if mat.mul(out) != RingMatrix.identity(R, mat.row_degrees):
-        raise ValueError("matrix is not invertible over the ring")
-    return out
-
-
-def summand_analysis(e: ModuleHom):
-    """Split an idempotent endomorphism of a graded free module into
-    complementary free summands, with exact matrix witnesses.
-
-    Returns (p, q, witnesses) where p is the scalar rank of e and q = n - p.
-    The witness maps u: F_J -> F, r: F -> F_J, v: F_J' -> F, w: F -> F_J'
-    satisfy r.u = 1, w.v = 1, r.v = 0, w.u = 0, u.r = e and v.w = 1 - e, which
-    together exhibit F = im(e) (+) im(1-e) with im(e) free on the J columns.
-    The two summands are additionally confirmed at the module level through
-    is_isomorphic."""
-    P = e.source
-    if e.target != P or e.shift != 0:
-        raise ValueError("summand analysis needs a degree-zero endomorphism")
-    if P.relations.ncols:
-        raise ValueError("summand analysis expects a free module")
-    R = P.ring
-    p_char = R.field.p
-    if e.matrix.mul(e.matrix) != e.matrix:
-        raise ValueError("endomorphism is not idempotent")
-    n = P.ngens
-    degs = P.gen_degrees
-    e0 = e.matrix.constant_part()
-    one_minus = RingMatrix.identity(R, degs).sub(e.matrix)
-    c0 = one_minus.constant_part()
-
-    # the pivot columns of a reduced row echelon form are the
-    # lexicographically first column basis
-    img_cols = row_reduce(e0, p_char)[1]
-    com_cols = row_reduce(c0, p_char)[1]
-    p = len(img_cols)
-    q = len(com_cols)
-    if p + q != n:
-        raise ValueError("endomorphism is not idempotent")
-    gcols = [e.matrix.column(j) for j in img_cols]
-    gcols += [one_minus.column(j) for j in com_cols]
-    gdegs = [degs[j] for j in img_cols] + [degs[j] for j in com_cols]
-    G = RingMatrix.from_columns(R, gcols, degs, gdegs)
-    Ginv = invert_unit_matrix(G)
-    u = RingMatrix.from_columns(R, gcols[:p], degs, gdegs[:p])
-    v = RingMatrix.from_columns(R, gcols[p:], degs, gdegs[p:])
-    ginv = Ginv.entries
-    r = RingMatrix.from_rows(R, ginv[:p], Ginv.row_degrees[:p],
-                             Ginv.col_degrees)
-    w = RingMatrix.from_rows(R, ginv[p:], Ginv.row_degrees[p:],
-                             Ginv.col_degrees)
-    checks = (
-        r.mul(u) == RingMatrix.identity(R, tuple(gdegs[:p])),
-        w.mul(v) == RingMatrix.identity(R, tuple(gdegs[p:])),
-        r.mul(v).is_zero_matrix,
-        w.mul(u).is_zero_matrix,
-        u.mul(r) == e.matrix,
-        v.mul(w) == one_minus,
-    )
-    if not all(checks):
-        raise RuntimeError("summand witnesses failed their exact identities")
-    im_mod = image(e)[0]
-    ok_im, iso_im = is_isomorphic(im_mod, free_module(R, tuple(gdegs[:p])))
-    com_mod = image(ModuleHom(P, P, one_minus))[0]
-    ok_com, iso_com = is_isomorphic(com_mod, free_module(R, tuple(gdegs[p:])))
-    if not (ok_im and ok_com):
-        raise RuntimeError("summand modules failed the isomorphism check")
-    return p, q, {
-        "into_image": u,
-        "image_retraction": r,
-        "into_complement": v,
-        "complement_retraction": w,
-        "image_columns": tuple(img_cols),
-        "complement_columns": tuple(com_cols),
-        "image_iso": iso_im,
-        "complement_iso": iso_com,
-    }
 
 
 def is_isomorphic(M: FPModule, N: FPModule):

@@ -229,6 +229,8 @@ def ext_module(M: FPModule, N: FPModule, i: int) -> FPModule:
     of M into N, assembled in full."""
     if i < 0:
         raise ValueError("negative Ext index")
+    if N.ring != M.ring:
+        raise ValueError("ext between modules over different rings")
     res = free_resolution(M, i + 1)
     if res.betti(i) == 0 or N.ngens == 0:
         return FPModule(M.ring, ())
@@ -246,6 +248,8 @@ def first_nonvanishing_ext(M: FPModule, N: FPModule, lo: int, hi: int):
     Each index is decided by _ext_vanishes on the cached resolution of M,
     by membership checks only.  The verdicts are memoised on N, keyed by
     M's resolution; only the booleans are kept, never the maps."""
+    if N.ring != M.ring:
+        raise ValueError("ext between modules over different rings")
     return _first_nonvanishing(free_resolution(M, 0), N, lo, hi)
 
 

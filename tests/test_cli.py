@@ -190,6 +190,33 @@ def test_split_without_module_omits_power_check(tmp_path, capsys):
     assert "image_rank" in out and "power_check" not in out
 
 
+MIXED_RINGS = """\
+ring P { char 101; vars x y; }
+ring Q { char 101; vars x y; ideal { x*y; } }
+module C over P { gens deg 0; }
+module k over P { gens deg 0; rels { [x]; [y]; } }
+module CQ over Q { gens deg 0; }
+module kQ over Q { gens deg 0; rels { [x]; [y]; } }
+matrix T over P { rowdegs 0; coldegs 0 1; cols { [1]; [x]; } }
+"""
+
+
+@pytest.mark.parametrize("command, message", [
+    ("split(T, CQ)", "split between a matrix and a module over different "
+                     "rings"),
+    ("ext(k, kQ, 1)", "ext between modules over different rings"),
+    ("reduce(Q, C, x + y)", "reduce of a module over a different ring"),
+])
+def test_commands_reject_mixed_rings(tmp_path, capsys, command, message):
+    """P and Q = P/(xy) share their polynomial ring, so every input is
+    well formed; only the rings of the arguments disagree."""
+    path = _write(tmp_path, MIXED_RINGS + f"run {command};\n")
+    assert main(["run", path]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"semidual: input error: {path}: {message}\n"
+
+
 @pytest.fixture
 def broken_split(monkeypatch):
     """unit_pivots hands split_surjection zero row operations, so its

@@ -26,7 +26,6 @@ from semidual.fpmod import (
     homology_at,
     homology_is_zero,
     identity_hom,
-    invert_unit_matrix,
     is_injective,
     is_isomorphic,
     is_nzd_on,
@@ -37,21 +36,17 @@ from semidual.fpmod import (
     power_with_twists,
     quotient_by_element,
     residue_field_module,
-    summand_analysis,
     tensor_product,
     tuple_to_vec,
 )
 from semidual.homalg import ext_module
-from semidual.linalg import is_invertible
 
 from helpers_random import (
     block_diagonal,
     by_components,
     random_block,
-    random_homogeneous,
     random_module,
     seed_only_block,
-    shift_spread,
 )
 
 F = PrimeField(101)
@@ -214,16 +209,6 @@ def test_power_with_twists(omega):
     assert W2.graded_piece_dim(0) == 1
 
 
-def test_summand_analysis_idempotent(plane):
-    S, R = plane
-    # e = diag(1, 0) on R^2 splits off one free summand
-    Ffree = free_module(R, (0, 0))
-    e = ModuleHom.from_entries(
-        Ffree, Ffree, [[S.one(), S.zero()], [S.zero(), S.zero()]])
-    rank, corank, wit = summand_analysis(e)
-    assert (rank, corank) == (1, 1)
-
-
 # ---------------------------------------------------------------------------
 # Sparse storage and the block builder, against dense matrices by hand.
 
@@ -233,48 +218,6 @@ def dense(mat):
 
 def reduced(R, rows):
     return [[R.nf(f) for f in row] for row in rows]
-
-
-def _random_unit_matrix(R, rng, singular):
-    """A random square graded matrix with permuted column degrees whose
-    scalar part is invertible, or, when singular, has a zero first row."""
-    amb = R.ambient
-    p = R.field.p
-    spread = shift_spread(R)
-    while True:
-        n = rng.randint(1, 3)
-        rdegs = [rng.choice(spread[:2]) for _ in range(n)]
-        cdegs = rng.sample(rdegs, n)
-        rows = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                d = cdegs[j] - rdegs[i]
-                f = None
-                if d == 0 and not (singular and i == 0):
-                    f = amb.constant(rng.randrange(p))
-                elif d > 0:
-                    f = random_homogeneous(R, d, rng, allow_zero=True)
-                row.append(f if f is not None else amb.zero())
-            rows.append(row)
-        mat = RingMatrix.from_rows(R, rows, rdegs, cdegs)
-        if singular or is_invertible(mat.constant_part(), p):
-            return mat
-
-
-def test_invert_unit_matrix_over_corpus_rings(all_corpus):
-    for corp in all_corpus:
-        R = corp.ring
-        rng = random.Random(60)
-        for i in range(10):
-            mat = _random_unit_matrix(R, rng, singular=False)
-            inv = invert_unit_matrix(mat)
-            assert mat.mul(inv) == RingMatrix.identity(R, mat.row_degrees), \
-                (corp.name, i)
-            assert inv.mul(mat) == RingMatrix.identity(R, mat.col_degrees), \
-                (corp.name, i)
-            with pytest.raises(ValueError, match="not invertible"):
-                invert_unit_matrix(_random_unit_matrix(R, rng, singular=True))
 
 
 def test_direct_sum_relations_are_block_diagonal(plane, omega):

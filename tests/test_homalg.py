@@ -83,8 +83,9 @@ def curve():
 
 
 def _no_unit_entries(res):
-    """Minimality: no boundary entry of the resolution has a unit part."""
-    return all(not any(map(any, m.constant_part())) for m in res.maps)
+    """Minimality: no boundary entry of the resolution has a unit part,
+    that is, no stored term has the zero exponent tuple."""
+    return all(any(e) for m in res.maps for v in m.cols for _, e in v)
 
 
 def test_koszul_resolution_of_k(plane):

@@ -84,6 +84,20 @@ def test_certificate_input_validation(poly_xy):
         check_semidualizing(poly_xy.C, 0)
 
 
+def _assert_free_summand(T, sec, wit):
+    """The splitting exhibits ker T as a free summand: e = S.T is
+    idempotent with complement U.V = 1 - e, and the retractions are
+    exact (T.S = 1, V.U = 1, T.U = 0, V.S = 0)."""
+    R = T.ring
+    U, V = wit["complement_inclusion"], wit["complement_retraction"]
+    e = sec.mul(T)
+    assert e.mul(e) == e
+    assert U.mul(V) == RingMatrix.identity(R, T.col_degrees).sub(e)
+    assert T.mul(sec) == RingMatrix.identity(R, T.row_degrees)
+    assert V.mul(U) == RingMatrix.identity(R, U.col_degrees)
+    assert T.mul(U).is_zero_matrix and V.mul(sec).is_zero_matrix
+
+
 def test_split_identity(poly_xy):
     S = poly_xy.amb
     T = RingMatrix.from_columns(
@@ -129,6 +143,7 @@ def test_split_two_by_three(poly_xy):
     sec, wit = split_surjection(T)
     assert (wit["q"], wit["p"]) == (2, 1)
     assert all(wit["identities"].values())
+    _assert_free_summand(T, sec, wit)
 
 
 def test_split_pivots_are_input_positions(poly_xy):
@@ -140,6 +155,7 @@ def test_split_pivots_are_input_positions(poly_xy):
     sec, wit = split_surjection(T)
     assert wit["pivots"] == [(0, 1), (1, 0)]
     assert all(wit["identities"].values())
+    _assert_free_summand(T, sec, wit)
 
 
 def test_split_semigroup_with_power_witness(semigroup):
@@ -151,6 +167,7 @@ def test_split_semigroup_with_power_witness(semigroup):
     sec, wit = split_surjection(T, semigroup.C)
     assert (wit["q"], wit["p"]) == (2, 1)
     assert all(wit["identities"].values())
+    _assert_free_summand(T, sec, wit)
     assert all(wit["power_check"].values())
 
 
@@ -203,7 +220,7 @@ def test_c_dimension_values(poly_xy, semigroup, omega_mod_x):
 
 def test_verify_ab_classical(poly_xy):
     rep = verify_ab(poly_xy.C, poly_xy.k, ext_bound=4)
-    assert rep.passed and rep.identity_holds and rep.pd_matches
+    assert rep.passed and rep.identity_holds
     j = rep.to_json_dict()
     assert list(j.keys()) == AB_KEYS
     assert (j["c_dim"], j["depth_C"], j["depth_Y"]) == (2, 2, 0)
