@@ -125,13 +125,20 @@ def min_generate_columns(ring: GradedRing, cols, row_degrees,
     """
     if reduced_seed is None:
         reduced_seed = inflation_vectors(ring, len(row_degrees))
+    span = IncrementalSpan(ring.ambient, reduced_seed=reduced_seed)
+    return _enlarging_columns(span, ring.ambient, cols, row_degrees)
+
+
+def _enlarging_columns(span, amb, cols, row_degrees):
+    """Feed the nonzero columns into span in increasing degree, ties by
+    index, and keep the ones that enlarge it, as [(original index,
+    column, degree)]; span ends as the saturated span of all of them."""
     staged = []
     for j, v in enumerate(cols):
-        d = column_degree(ring.ambient, v, row_degrees)
+        d = column_degree(amb, v, row_degrees)
         if d is not None:
             staged.append((d, j, v))
     staged.sort(key=lambda t: (t[0], t[1]))
-    span = IncrementalSpan(ring.ambient, reduced_seed=reduced_seed)
     return [(j, v, d) for d, j, v in staged if span.add(v)]
 
 
@@ -566,12 +573,16 @@ class FPModule:
         degree-zero maps to and from self.  Unit entries in the relation
         matrix are eliminated by unit_pivots, which drops each pivot's
         generator; the relations left on the surviving generators are then
-        thinned to a minimal generating set in increasing degree.
+        thinned to a minimal generating set in increasing degree.  The
+        span that thins them holds the inflation and the kept relations,
+        so its reduced basis is N's relgb, which is stored at once; with
+        no relation kept, relgb stays the inflation block.
 
         _min keeps N and the two matrices only, and the maps are rebuilt
         per call, so that no cached object points back at self."""
         if self._min is None:
             R = self.ring
+            amb = R.ambient
             pivots, W, L = unit_pivots(R, self.relations.entries)
             pivot_rows = {i for i, _ in pivots}
             pivot_cols = {j for _, j in pivots}
@@ -580,12 +591,17 @@ class FPModule:
             cols = [tuple_to_vec([W[i][j] for i in surviving])
                     for j in range(self.relations.ncols)
                     if j not in pivot_cols]
-            kept = min_generate_columns(R, cols, gens)
-            rel = RingMatrix(R, [v for _, v, _ in kept], gens,
-                             [d for _, _, d in kept])
-            zero = R.ambient._zero_exps
+            span = IncrementalSpan(
+                amb, reduced_seed=inflation_vectors(R, len(gens)))
+            kept = _enlarging_columns(span, amb, cols, gens)
+            N = FPModule(R, gens, RingMatrix(R, [v for _, v, _ in kept],
+                                             gens, [d for _, _, d in kept]))
+            if kept:
+                N._relgb = ModuleGB.from_reduced(
+                    amb, span.reduced_basis(), len(gens))
+            zero = amb._zero_exps
             self._min = (
-                FPModule(R, gens, rel),
+                N,
                 RingMatrix.from_rows(R, [L[i] for i in surviving], gens,
                                      self.gen_degrees),
                 RingMatrix(R, [{(o, zero): 1} for o in surviving],
@@ -670,6 +686,9 @@ def power_scalar_hom(N: FPModule, T: RingMatrix, source=None,
     degree-correct whenever T is.  Hom(d, N) for a map d between free
     modules is power_scalar_hom(N, d.dual()).  source and target, when
     given, are those powers of N already built."""
+    if T.ring != N.ring:
+        raise ValueError("scalar matrix and module live over different "
+                         "rings")
     if source is None:
         source = power_with_twists(N, [-d for d in T.col_degrees])
     if target is None:
@@ -1017,12 +1036,20 @@ class HomModule:
         return {(j * nN + a, e): c for j, col in enumerate(phi.matrix.cols)
                 for (a, e), c in col.items()}
 
-    def generated_by(self, phi: ModuleHom) -> bool:
-        """True when phi alone generates Hom(M, N): every generator lies in
-        R*phi modulo the relations of Hom(F0, N), into which Hom(M, N)
-        embeds.  Needs no presentation of Hom(M, N)."""
-        return in_span(self.source.ring.ambient, self._p0.relgb.basis,
-                       [self._vector(phi)], self.gen_cols)
+    def homothety(self):
+        """(identity generates, Ann M) for H = End(M): what decides that
+        R -> End(M), r -> r*1, is onto and one-to-one.  One tracked run of
+        the identity, the diagonal (e_1, ..., e_n) of Hom(F0, M), over
+        Hom(F0, M)'s relation basis answers both: the identity generates
+        when every generator of H reduces to zero outside the tracking
+        rows, and Ann M is read off the run's kernel, as annihilator
+        finds it.  Ann M is kept on M.  Needs no presentation of H."""
+        M = self.source
+        if self.target != M:
+            raise ValueError("the homothety needs Hom(M, M)")
+        run, M._ann = _diagonal_run(M, self._p0.relgb.basis)
+        generates = all(not run.reduce_with_rep(v)[0] for v in self.gen_cols)
+        return generates, M._ann
 
     def coordinates_of(self, phi: ModuleHom):
         """Express a hom M -> N in the generators; requires phi to be well
@@ -1048,18 +1075,25 @@ def annihilator(M: FPModule) -> GroebnerBasis:
     defining ideal.  It is the annihilator of the diagonal element
     (e_1, ..., e_n) of M^n: one kernel over n shifted copies of M's
     relation basis, then one reduced basis of the ideal."""
-    if M._ann is not None:
-        return M._ann
+    if M._ann is None:
+        n = M.ngens
+        seed = [{(i * n + r, e): c for (r, e), c in v.items()}
+                for i in range(n) for v in M.relgb.basis]
+        M._ann = _diagonal_run(M, seed)[1]
+    return M._ann
+
+
+def _diagonal_run(M: FPModule, seed):
+    """(run, Ann M): the tracked run of the diagonal (e_1, ..., e_n) of
+    M^n over seed, a reduced basis of M^n's relations (n shifted copies
+    of M's), and the reduced basis of the ideal its kernel holds."""
     amb = M.ring.ambient
     n = M.ngens
     zero = amb._zero_exps
     diagonal = {(i * n + i, zero): 1 for i in range(n)}
-    seed = [{(i * n + r, e): c for (r, e), c in v.items()}
-            for i in range(n) for v in M.relgb.basis]
-    gens = [amb.from_dict({e: c for (_, e), c in u.items()})
-            for u in relative_kernel(amb, [diagonal], seed, n * n)]
-    M._ann = buchberger(gens, ring=amb)
-    return M._ann
+    run = RelativeTracker(amb, [diagonal], seed, n * n)
+    return run, buchberger([amb.from_dict({e: c for (_, e), c in u.items()})
+                            for u in run.kernel_vectors()], ring=amb)
 
 
 def quotient_by_element(M: FPModule, x: Polynomial) -> FPModule:

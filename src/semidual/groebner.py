@@ -346,6 +346,10 @@ class IncrementalSpan:
     def contains(self, v: dict) -> bool:
         return not self._eng.reduce_full(v)
 
+    def reduced_basis(self):
+        """The reduced basis of the span, as ModuleGB would store it."""
+        return self._eng.reduced_basis()
+
 
 class RelativeTracker:
     """Tracked Groebner run relative to a pre-reduced seed basis.

@@ -98,8 +98,9 @@ class SemidualizingCertificate:
     the End module (surjectivity) and the annihilator must reduce to the
     defining ideal (injectivity).  Both are decided inside Hom(F0, C),
     F0 the free cover of C, where End(C) is found as a kernel with
-    minimal generators; end_minimal_generators is their count, and
-    End(C)'s own presentation is never built.  Condition (ii) is
+    minimal generators, by one tracked run of the identity
+    (HomModule.homothety); end_minimal_generators is the generators'
+    count, and End(C)'s own presentation is never built.  Condition (ii) is
     Ext^i(C, C) = 0 for 1 <= i <= ext_bound; the verdict says
     "verified_up_to_bound" rather than pretending to cover all i."""
 
@@ -186,8 +187,7 @@ def check_semidualizing(C: FPModule, ext_bound=None) -> SemidualizingCertificate
     # generates End(C)"; injectivity is "ann C = 0 in R".
     H = HomModule(Cm, Cm)
     end_count = len(H.gen_cols)
-    identity_generates = H.generated_by(identity_hom(Cm))
-    ann = annihilator(Cm)
+    identity_generates, ann = H.homothety()
     excess = next((str(g) for g in ann.gens if not R.ideal.contains(g)), None)
     faithful = excess is None
 

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -13,8 +14,15 @@ from semidual.cli import (
     EXIT_OK,
     EXIT_RESOURCE,
     EXIT_VERIFICATION,
+    Environment,
     main,
+    render_report,
+    run_command,
 )
+from semidual.fpmod import direct_sum
+from semidual.session import Var
+
+from helpers_random import random_module
 
 DATA = Path(__file__).parent / "data"
 
@@ -313,6 +321,33 @@ def test_corpus_json_is_byte_identical_to_the_pinned_digest(monkeypatch,
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert digest == (
         "77d61c3c0e4c874b724e704e40c1169a77d1fc9fdb66f5fb75f9dea6ab8e8511")
+
+
+def test_check_semidualizing_json_reports_are_pinned(monkeypatch,
+                                                    all_corpus):
+    """The check-semidualizing reports of 40 seeded candidates, as the
+    command renders them in JSON with its exit code, byte for byte: over
+    each corpus ring, eight random modules with up to three generators,
+    the ring's own C and C (+) C."""
+    monkeypatch.delenv("SEMIDUAL_EXT_BOUND", raising=False)
+    h = hashlib.sha256()
+    codes = set()
+    for r, case in enumerate(all_corpus):
+        rng = random.Random(1800 + r)
+        candidates = [random_module(case.ring, rng, max_gens=3)
+                      for _ in range(8)]
+        candidates += [case.C, direct_sum([case.C, case.C])]
+        for M in candidates:
+            env = Environment()
+            env.modules["C"] = M
+            report, code = run_command("check-semidualizing", [Var("C")],
+                                       {}, env)
+            codes.add(code)
+            h.update(f"{code}\n".encode())
+            h.update(render_report(report, "json").encode())
+    assert codes == {EXIT_OK, EXIT_VERIFICATION}
+    assert h.hexdigest() == (
+        "a1027693e60b85470f50579bbd47058c644c27a534e2dbb4fdead741fd8a5f39")
 
 
 def test_corpus_wrong_expectation_fixture(capsys):

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from semidual import fpmod
+from semidual import fpmod, groebner
 from semidual.polyring import PolyRing, PrimeField, mono_mul
 from semidual.groebner import (
     GradedRing,
@@ -33,6 +33,7 @@ from semidual.fpmod import (
     kernel,
     kernel_of_scalar,
     minimal_generators,
+    power_scalar_hom,
     power_with_twists,
     quotient_by_element,
     residue_field_module,
@@ -40,6 +41,7 @@ from semidual.fpmod import (
     tuple_to_vec,
 )
 from semidual.homalg import ext_module
+from semidual.semidual import check_semidualizing
 
 from helpers_random import (
     block_diagonal,
@@ -579,7 +581,141 @@ def test_hom_generators_alone_solve_no_relations(all_corpus):
     for case in all_corpus:
         C = case.C.minimal()[0]
         H = HomModule(C, C)
-        assert H.generated_by(identity_hom(C))
+        assert H.homothety()[0]
         count = len(H.gen_cols)
         assert (H._module is None) == bool(C.relations.ncols)
         assert count == minimal_generators(H.module)[0] == 1
+
+
+def _fresh(M):
+    """M's presentation in a new object, with no memo filled."""
+    return FPModule(M.ring, M.gen_degrees, M.relations)
+
+
+def _items(basis):
+    return [list(v.items()) for v in basis]
+
+
+def _f3_quotient():
+    S3 = PolyRing(PrimeField(3), ("x", "y"))
+    x, y = S3.variable(0), S3.variable(1)
+    return GradedRing(S3, [x * y], name="R")
+
+
+def test_minimal_keeps_the_relation_basis_of_its_span(all_corpus, semigroup):
+    """minimal() stores the reduced basis of the span that thinned the
+    relations as N's relgb: list for list and dict for dict, it is what a
+    fresh ModuleGB of N's relations and inflation gives.  A module that
+    minimalises to a free module keeps the inflation block as its relgb,
+    in the inflation's own order."""
+    rings = [case.ring for case in all_corpus] + [_f3_quotient()]
+    checked = 0
+    for r, R in enumerate(rings):
+        rng = random.Random(1900 + r)
+        for _ in range(8):
+            N = random_module(R, rng, max_gens=3).minimal()[0]
+            if not N.relations.ncols:
+                continue
+            assert N._relgb is not None
+            infl = fpmod.inflation_vectors(R, N.ngens)
+            vecs = [N.relations.col_vec(j) for j in range(N.relations.ncols)]
+            want = ModuleGB(R.ambient, vecs, N.ngens, reduced_seed=infl)
+            assert _items(N.relgb.basis) == _items(want.basis)
+            checked += 1
+    assert checked == 29
+    R = semigroup.ring
+    x = semigroup.amb.variable(0)
+    M = FPModule(R, (0, 3), RingMatrix.from_columns(
+        R, [(x, R.ambient.one())], (0, 3), (3,)))
+    N = M.minimal()[0]
+    assert N.gen_degrees == (0,) and N.relations.ncols == 0
+    assert N._relgb is None
+    assert _items(N.relgb.basis) == _items(fpmod.inflation_vectors(R, 1))
+    assert len(N.relgb.basis) == 3
+
+
+def _homothety_candidates(all_corpus):
+    """Seeded candidates over the corpus rings and F3[x,y]/(xy), minimal:
+    random modules, the free module of rank two and the ring's own C."""
+    cases = [(case.ring, case.C) for case in all_corpus]
+    R3 = _f3_quotient()
+    cases.append((R3, free_module(R3, (0,))))
+    out = []
+    for r, (R, C) in enumerate(cases):
+        rng = random.Random(2000 + r)
+        out += [random_module(R, rng, max_gens=3) for _ in range(6)]
+        out += [free_module(R, (0, 0)), C]
+    return [M.minimal()[0] for M in out]
+
+
+def test_homothety_matches_membership_and_the_annihilator(all_corpus):
+    """H.homothety() for H = End(C) answers what in_span of the identity
+    and annihilator answer on fresh copies, and keeps Ann C on C."""
+    seen = set()
+    for C in _homothety_candidates(all_corpus):
+        H = HomModule(C, C)
+        generates, ann = H.homothety()
+        assert C._ann is ann and annihilator(C) is ann
+        F = _fresh(C)
+        G = HomModule(F, F)
+        want = fpmod.in_span(C.ring.ambient, G._p0.relgb.basis,
+                             [G._vector(identity_hom(F))], G.gen_cols)
+        assert generates == want
+        assert ann.gens == annihilator(_fresh(C)).gens
+        faithful = all(C.ring.ideal.contains(g) for g in ann.gens)
+        seen.add((generates, faithful))
+    assert seen == {(True, True), (True, False), (False, True),
+                    (False, False)}
+
+
+def test_homothety_needs_an_end_module(poly_xy):
+    with pytest.raises(ValueError, match=r"the homothety needs Hom\(M, M\)"):
+        HomModule(poly_xy.k, poly_xy.C).homothety()
+
+
+def test_condition_i_is_one_diagonal_run(monkeypatch, semigroup):
+    """check_semidualizing on a non-free candidate decides condition (i)
+    with one tracked run of the diagonal, and builds no span of the
+    identity apart from it."""
+    runs, spans = [], []
+
+    class Tracked(groebner.RelativeTracker):
+        def __init__(self, ring, columns, seed, rank):
+            runs.append(list(columns))
+            super().__init__(ring, columns, seed, rank)
+
+    class Span(IncrementalSpan):
+        def __init__(self, ring, vectors=(), reduced_seed=()):
+            spans.append(list(vectors))
+            super().__init__(ring, vectors, reduced_seed)
+
+    monkeypatch.setattr(groebner, "RelativeTracker", Tracked)
+    monkeypatch.setattr(fpmod, "RelativeTracker", Tracked)
+    monkeypatch.setattr(fpmod, "IncrementalSpan", Span)
+    zero = semigroup.amb._zero_exps
+    for C, passed in [(semigroup.C, True),
+                      (quotient_by_element(semigroup.C, semigroup.nzd),
+                       False)]:
+        runs.clear()
+        spans.clear()
+        C = _fresh(C)
+        Cm = C.minimal()[0]
+        n = Cm.ngens
+        assert n > 1 and Cm.relations.ncols
+        cert = check_semidualizing(C, 2)
+        assert cert.passed == passed
+        diagonal = {(i * n + i, zero): 1 for i in range(n)}
+        assert sum(cols == [diagonal] for cols in runs) == 1
+        assert not any(diagonal in gens for gens in spans)
+
+
+def test_power_scalar_hom_rejects_a_matrix_over_another_ring(poly_xy):
+    """T over F101[x,y] and N over F7[t]: the guard raises before
+    block_matrix can move T's vectors onto N's ring."""
+    S7 = PolyRing(PrimeField(7), ("t",))
+    R7 = GradedRing(S7, [], name="R")
+    x = poly_xy.amb.variable(0)
+    T = RingMatrix.from_columns(poly_xy.ring, [(x,)], (0,), (1,))
+    with pytest.raises(ValueError, match="scalar matrix and module live "
+                                         "over different rings"):
+        power_scalar_hom(free_module(R7, (0,)), T)
